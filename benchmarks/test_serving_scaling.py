@@ -41,7 +41,7 @@ def test_serving_scaling(capsys):
     curve = {}
     for sessions in SESSION_COUNTS:
         start = time.perf_counter()
-        report = run_serve(sessions=sessions, workers=2, seed=SEED,
+        report = run_serve(sessions=sessions, seed=SEED,
                            frames=FRAMES, include_frame_times=False)
         elapsed = time.perf_counter() - start
         assert report["outcome"]["completed"] is True
@@ -84,7 +84,7 @@ def test_serving_scaling(capsys):
 def _ab_cell(sessions, policy, prefetch):
     """One grid cell: serve under pressure, distill tracked numbers."""
     start = time.perf_counter()
-    report = run_serve(sessions=sessions, workers=2, seed=SEED,
+    report = run_serve(sessions=sessions, seed=SEED,
                        frames=AB_FRAMES, pool_pages=AB_POOL_PAGES,
                        policy=policy, prefetch=prefetch,
                        include_frame_times=False)

@@ -113,13 +113,11 @@ def all_rules() -> List[Type[AnyRule]]:
     """Registered rule classes, sorted by code."""
     # Importing the built-in rules here (not at module import) avoids a
     # registry<->rules import cycle while keeping discovery automatic.
-    import repro.analysis.concurrency  # noqa: F401
     import repro.analysis.rules  # noqa: F401
     return [_RULES[code] for code in sorted(_RULES)]
 
 
 def rule_for_code(code: str) -> Type[AnyRule]:
-    import repro.analysis.concurrency  # noqa: F401
     import repro.analysis.rules  # noqa: F401
     try:
         return _RULES[code]

@@ -1,4 +1,4 @@
-"""The repo-specific lint rules (``RPR001``–``RPR009``, ``RPR014``).
+"""The repo-specific lint rules (``RPR001``–``RPR009``, ``RPR013``–``RPR015``).
 
 Each rule encodes an invariant that a past bug (PR 1's I/O-accounting
 fixes) or a structural decision (the observability layer) established,
@@ -43,7 +43,6 @@ STRICT_PACKAGES = (
     "repro.visibility",
     "repro.rtree",
     "repro.analysis",
-    "repro.concurrency",
 )
 
 #: The module metric-name constants must come from (RPR002).
@@ -81,6 +80,39 @@ VPAGE_CODEC_MODULES = frozenset({
     "repro.storage.vpagecodec",
     "repro.storage.serializer",
 })
+
+#: Modules whose reports promise byte-determinism (RPR013).  A module
+#: outside this set can opt in with a top-level ``DETERMINISTIC_REPORT =
+#: True`` marker.
+DETERMINISTIC_MODULES = frozenset({
+    "repro.analysis.baseline",
+    "repro.obs.chaos",
+    "repro.obs.profile",
+    "repro.serving.http.stats",
+    "repro.serving.loadgen",
+    "repro.serving.prefetch",
+    "repro.serving.service",
+    "repro.visibility.cache",
+    "repro.visibility.persist",
+})
+
+#: Marker name for per-module RPR013 opt-in.
+DETERMINISTIC_MARKER = "DETERMINISTIC_REPORT"
+
+#: Filesystem enumerators whose order is OS-dependent (RPR013).
+_FS_ENUMERATORS = frozenset({"os.listdir", "os.scandir", "glob.glob",
+                             "glob.iglob"})
+
+#: Thread-spawning APIs, by the module that exports them (RPR015).
+THREAD_IMPORTS = {
+    "threading": frozenset({"Thread"}),
+    "concurrent.futures": frozenset({"ThreadPoolExecutor"}),
+    "asyncio": frozenset({"to_thread"}),
+}
+
+#: Attribute spellings of the same APIs (RPR015).
+THREAD_ATTRS = frozenset({"ThreadPoolExecutor", "run_in_executor",
+                          "to_thread"})
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -760,3 +792,188 @@ class HttpTimingBoundaryRule(ModuleRule):
                     f"the timing middleware; the front-end's "
                     f"deterministic-report promise requires all clock "
                     f"reads to live in {HTTP_TIMING_MODULE}")
+
+
+def _annotation_names(annotation: ast.expr) -> Set[str]:
+    """Every identifier mentioned in an annotation (``Dict[int, PagedFile]``
+    yields ``{"Dict", "int", "PagedFile"}``); string annotations are
+    parsed and recursed into."""
+    if isinstance(annotation, ast.Constant) and \
+            isinstance(annotation.value, str):
+        try:
+            parsed = ast.parse(annotation.value, mode="eval")
+        except SyntaxError:
+            return set()
+        return _annotation_names(parsed.body)
+    names: Set[str] = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@register
+class DeterminismHygieneRule(ModuleRule):
+    """RPR013: no unordered iteration feeding byte-deterministic reports.
+
+    The repo's reports are diffed byte-for-byte in CI (chaos, serve,
+    traffic, precompute), which a single unsorted ``set`` iteration or
+    ``os.listdir`` breaks only *sometimes* — the worst kind of flake.
+    In modules declared byte-deterministic (``DETERMINISTIC_MODULES`` or
+    a ``DETERMINISTIC_REPORT = True`` marker), iterating a set-typed
+    value or an OS directory enumeration without ``sorted()`` is a
+    violation.  Plain dict iteration is allowed: insertion order is a
+    language guarantee the reports already rely on.
+    """
+
+    code = "RPR013"
+    name = "determinism-hygiene"
+    summary = ("in byte-deterministic modules, set iteration and "
+               "filesystem enumeration (os.listdir/glob/scandir/iterdir) "
+               "must go through sorted()")
+
+    def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
+        if not self._applies(ctx):
+            return
+        set_names = self._set_names(ctx.tree)
+        for node in ast.walk(ctx.tree):
+            iters: List[ast.expr] = []
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                iters.append(node.iter)
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                   ast.GeneratorExp)):
+                iters.extend(gen.iter for gen in node.generators)
+            elif isinstance(node, ast.Call):
+                iters.extend(self._consumed_iterables(node))
+            for candidate in iters:
+                reason = self._unordered(candidate, set_names)
+                if reason is not None:
+                    yield ctx.diagnostic(
+                        self, candidate,
+                        f"iteration over {reason} in a byte-deterministic "
+                        f"module; wrap it in sorted(...) so report bytes "
+                        f"cannot depend on hash or filesystem order")
+
+    @staticmethod
+    def _applies(ctx: ModuleContext) -> bool:
+        if ctx.module in DETERMINISTIC_MODULES:
+            return True
+        for stmt in ctx.tree.body:
+            if isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name) and \
+                            target.id == DETERMINISTIC_MARKER:
+                        return True
+        return False
+
+    @staticmethod
+    def _is_set_expr(node: ast.expr) -> bool:
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return True
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else (
+                func.attr if isinstance(func, ast.Attribute) else None)
+            return name in ("set", "frozenset")
+        return False
+
+    def _set_names(self, tree: ast.Module) -> Set[str]:
+        """Names bound to a set expression or annotated as sets, module
+        wide (flow-insensitive on purpose: cheap and good enough)."""
+        names: Set[str] = set()
+        set_markers = {"Set", "FrozenSet", "set", "frozenset",
+                       "MutableSet", "AbstractSet"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and self._is_set_expr(node.value):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        names.add(target.id)
+            elif isinstance(node, ast.AnnAssign) and \
+                    isinstance(node.target, ast.Name):
+                if _annotation_names(node.annotation) & set_markers:
+                    names.add(node.target.id)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for arg in (list(node.args.posonlyargs)
+                            + list(node.args.args)
+                            + list(node.args.kwonlyargs)):
+                    if arg.annotation is not None and \
+                            _annotation_names(arg.annotation) & set_markers:
+                        names.add(arg.arg)
+        return names
+
+    def _consumed_iterables(self, call: ast.Call) -> List[ast.expr]:
+        """Arguments whose iteration order flows into the output:
+        ``list(x)``, ``tuple(x)``, ``sep.join(x)``."""
+        func = call.func
+        if isinstance(func, ast.Name) and func.id in ("list", "tuple") \
+                and call.args:
+            return [call.args[0]]
+        if isinstance(func, ast.Attribute) and func.attr == "join" and \
+                call.args:
+            return [call.args[0]]
+        return []
+
+    def _unordered(self, node: ast.expr,
+                   set_names: Set[str]) -> Optional[str]:
+        if self._is_set_expr(node):
+            return "a set expression"
+        if isinstance(node, ast.Name) and node.id in set_names:
+            return f"set-typed name {node.id!r}"
+        if isinstance(node, ast.Call):
+            dotted = _dotted(node.func)
+            if dotted in _FS_ENUMERATORS:
+                return f"{dotted}() (filesystem order)"
+            if isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "iterdir":
+                return "Path.iterdir() (filesystem order)"
+            if isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "scandir":
+                return "os.scandir() (filesystem order)"
+        return None
+
+
+@register
+class NoThreadsRule(ModuleRule):
+    """RPR015: the ``repro`` package starts no threads.
+
+    In-process serving is single-threaded by design (DESIGN.md §10):
+    the buffer pool, paged files, journal and metrics registry carry no
+    locks, because nothing in the process ever runs a second thread.
+    A ``threading.Thread``, a ``ThreadPoolExecutor``, an executor hop
+    (``loop.run_in_executor``) or ``asyncio.to_thread`` would silently
+    break that invariant — and with it the exact per-session I/O
+    attribution the serving reports reconcile.  Parallel work that needs
+    no shared in-process state goes through ``ProcessPoolExecutor``,
+    as the visibility precompute does.
+    """
+
+    code = "RPR015"
+    name = "no-threads"
+    summary = ("threading.Thread, ThreadPoolExecutor, run_in_executor and "
+               "asyncio.to_thread are forbidden under repro: in-process "
+               "serving is single-threaded and its state carries no locks")
+
+    def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
+        if not ctx.in_package("repro"):
+            return
+        for node in ast.walk(ctx.tree):
+            api: Optional[str] = None
+            if isinstance(node, ast.ImportFrom) and node.module:
+                banned = THREAD_IMPORTS.get(node.module, frozenset())
+                for alias in node.names:
+                    if alias.name in banned:
+                        api = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Attribute):
+                if node.attr in THREAD_ATTRS:
+                    api = node.attr
+                elif _dotted(node) == "threading.Thread":
+                    api = "threading.Thread"
+            if api is not None:
+                yield ctx.diagnostic(
+                    self, node,
+                    f"{api} starts a thread; in-process serving is "
+                    f"single-threaded and its pool, files and registry "
+                    f"are unlocked — use ProcessPoolExecutor for "
+                    f"parallel work that shares no in-process state")

@@ -11,7 +11,7 @@ Usage::
     python -m repro layout [--scale small] [--session 4] [--output FILE]
     python -m repro crash [--seed 0] [--txns 5] [--output FILE]
     python -m repro precompute [--workers 4] [--cache-dir DIR] [--resume]
-    python -m repro serve [--sessions 8] [--workers 4] [--seed 7]
+    python -m repro serve [--sessions 8] [--seed 7]
     python -m repro traffic [--sessions 200] [--seed 0] [--arrival-rate 50]
 
 ``run`` prints the same rows/series the paper reports (see
@@ -252,9 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
              "buffer pool; emit a deterministic JSON report")
     serve.add_argument("--sessions", type=int, default=8,
                        help="concurrent walkthrough sessions (default: 8)")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="fidelity-scoring worker threads (default: 4; "
-                            "never changes a byte of the report)")
     serve.add_argument("--seed", type=int, default=7,
                        help="session motion-pattern seed (default: 7); "
                             "the same seed reproduces the same report")
@@ -300,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="arrival/pattern seed (default: 0); the "
                               "same seed reproduces the deterministic "
                               "report sections byte-for-byte")
-    traffic.add_argument("--workers", type=int, default=1,
-                         help="echoed for symmetry with serve (default: "
-                              "1; never changes a deterministic byte)")
     traffic.add_argument("--scale", default="small",
                          choices=["small", "medium", "large"],
                          help="environment scale (default: small)")
@@ -354,16 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="diagnostic output format (default: text)")
     lint.add_argument("--rules", action="store_true",
                       help="list the registered rules and exit")
-
-    locks = sub.add_parser(
-        "locks",
-        help="print the static and witnessed lock-order graphs")
-    locks.add_argument("paths", nargs="*", metavar="PATH",
-                       help="files/directories to analyse statically "
-                            "(default: src)")
-    locks.add_argument("--output", default=None, metavar="FILE",
-                       help="write the JSON report to FILE (default: "
-                            "stdout)")
     return parser
 
 
@@ -579,8 +563,8 @@ def cmd_serve(args) -> int:
     from repro.serving import run_serve
 
     try:
-        report = run_serve(sessions=args.sessions, workers=args.workers,
-                           seed=args.seed, scale=args.scale, eta=args.eta,
+        report = run_serve(sessions=args.sessions, seed=args.seed,
+                           scale=args.scale, eta=args.eta,
                            frames=args.frames, scheme=args.scheme,
                            max_active=args.max_active,
                            frame_budget_ms=args.frame_budget_ms,
@@ -611,8 +595,8 @@ def cmd_traffic(args) -> int:
 
     try:
         report = run_traffic(sessions=args.sessions, seed=args.seed,
-                             workers=args.workers, scale=args.scale,
-                             eta=args.eta, frames=args.frames,
+                             scale=args.scale, eta=args.eta,
+                             frames=args.frames,
                              scheme=args.scheme,
                              arrival_rate=args.arrival_rate,
                              hot_fraction=args.hot_fraction,
@@ -681,66 +665,6 @@ def cmd_lint(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_locks(args) -> int:
-    """Static lock graph (RPR010's model) next to a witnessed one.
-
-    The witnessed half runs one deterministic, single-threaded exercise
-    against the real locks — a demo scheduler-level lock held over a
-    tiny buffer pool churning an in-memory paged file, so dirty
-    evictions drive the sanctioned pool -> file write-back edge — under
-    a fresh :class:`LockOrderWitness` and a fresh metrics registry.
-    The report is keyed by lattice level only, so two runs produce
-    byte-identical output (the CI drift gate diffs exactly that).
-    """
-    import threading
-
-    from repro.analysis import load_contexts
-    from repro.analysis.concurrency import build_lock_graph
-    from repro.concurrency import (LATTICE, LockOrderWitness, installed,
-                                   wrap_lock)
-    from repro.obs.metrics import use_registry
-    from repro.storage import pageio
-    from repro.storage.buffer import BufferPool
-    from repro.storage.pagedfile import PagedFile
-
-    paths = args.paths or (["src"] if os.path.isdir("src") else ["."])
-    try:
-        static = build_lock_graph(load_contexts(paths)).summary()
-    except FileNotFoundError as exc:
-        print(f"repro locks: {exc}", file=sys.stderr)
-        return 2
-
-    witness = LockOrderWitness()
-    with installed(witness), use_registry():
-        demo = wrap_lock(threading.Lock(), level=LATTICE[0],
-                         name="demo-scheduler")
-        pfile = PagedFile("locks-demo", page_size=64)
-        pool = BufferPool(2, name="locks-demo")
-        for _ in range(4):
-            pageio.append_page(pfile, b"", component="locks-demo")
-        with demo:
-            for page in range(4):
-                pool.put(pfile, page, b"hdov")
-            for page in range(4):
-                pool.get(pfile, page)
-            pool.flush()
-    witnessed = witness.report()
-
-    report = {"static": static, "witnessed": witnessed}
-    text = json.dumps(report, indent=2)
-    failed = bool(static["violations"]) or bool(witnessed["violations"])
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.output} "
-              f"(static_edges={len(static['edges'])}, "
-              f"witnessed_edges={len(witnessed['edges'])}, "
-              f"violations={'yes' if failed else 'no'})")
-    else:
-        print(text)
-    return 1 if failed else 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
@@ -761,8 +685,6 @@ def main(argv=None) -> int:
         return cmd_traffic(args)
     if args.command == "lint":
         return cmd_lint(args)
-    if args.command == "locks":
-        return cmd_locks(args)
     return cmd_run(args.experiments, args.scale)
 
 

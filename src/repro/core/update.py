@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.core.hdov_tree import HDoVEnvironment
+from repro.core.hdov_tree import HDoVEnvironment, InternalRecord
 from repro.core.schemes.indexed_vertical import IndexedVerticalScheme
 from repro.core.vpage import CellVPages, instantiate_cell
 from repro.errors import HDoVError
+from repro.lod.internal import build_internal_lods
 from repro.rtree.delete import delete as rtree_delete
 from repro.visibility.cells import CellGrid
 from repro.visibility.dov import CellVisibility
@@ -150,6 +151,29 @@ def _reassign_offsets_and_rewrite(env: HDoVEnvironment) -> None:
             remapped[node.node_offset] = record
     env.internals = remapped
     env.node_store = store
+    _build_missing_internals(env)
+
+
+def _build_missing_internals(env: HDoVEnvironment) -> None:
+    """Give nodes the deletion created an internal LoD and its blob.
+
+    Condense-tree reinsertion can split nodes, and a split node has no
+    record to remap; a later query accepting it would find no internal
+    LoD.  Only such nodes are built — bottom-up, from their children's
+    existing chains — so a removal that creates no node does no work
+    here.  Ancestors keep their (now slightly stale) LoDs.
+    """
+    if all(node.node_offset in env.internals
+           for node in env.tree.iter_nodes_dfs()):
+        return
+    created = build_internal_lods(
+        env.tree, env.scene, ratio_s=env.config.ratio_s,
+        levels=env.config.internal_lod_levels,
+        built={offset: record.lod
+               for offset, record in env.internals.items()})
+    for offset, lod in sorted(created.items()):
+        blob = env.object_store.put(lod.chain.finest.byte_size)
+        env.internals[offset] = InternalRecord(offset, blob.blob_id, lod)
 
 
 def _rewrite_segment(scheme: IndexedVerticalScheme,

@@ -70,8 +70,7 @@ class BufferPoolExhaustedError(BufferPoolError):
     """Every resident frame is pinned, so no victim can be evicted.
 
     Raised instead of spinning (or silently overflowing the memory
-    budget) when a miss needs a free frame and all of them are held by
-    concurrent pinners.  Callers can back off and retry, or treat it as
+    budget) when a miss needs a free frame and all of them are pinned.  Callers can back off and retry, or treat it as
     an admission-control signal and shed load.
     """
 
@@ -106,16 +105,6 @@ class ServiceOverloadedError(WalkthroughError):
     The HTTP layer maps this to ``503 Service Unavailable``; load
     generators count it toward the shed rate instead of treating it as
     a failure.
-    """
-
-
-class LockOrderError(ReproError):
-    """A thread acquired locks against the declared lock lattice.
-
-    Raised by :class:`repro.concurrency.witness.LockOrderWitness`
-    *before* the offending lock is acquired, so a latent deadlock
-    surfaces as a typed, debuggable exception instead of a hang.  The
-    static twin of this check is lint rule RPR010.
     """
 
 

@@ -15,7 +15,7 @@ their summed polygon count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.constants import DEFAULT_LOD_RATIO
 from repro.errors import HDoVError
@@ -53,12 +53,20 @@ def build_internal_lods(tree: RTree, scene: Scene, *,
                         ratio_s: float = DEFAULT_LOD_RATIO,
                         levels: int = 2,
                         simplify: Callable[[TriangleMesh, int], TriangleMesh]
-                        = simplify_clustering) -> Dict[int, InternalLOD]:
-    """Build internal LoD chains for every node of ``tree``, bottom-up.
+                        = simplify_clustering,
+                        built: Optional[Mapping[int, InternalLOD]] = None,
+                        ) -> Dict[int, InternalLOD]:
+    """Build internal LoD chains for the nodes of ``tree``, bottom-up.
 
     Requires ``node.node_offset`` to be assigned (run after
     :meth:`repro.rtree.persist.NodeStore.write_tree` or assign offsets
-    manually).  Returns a mapping node offset -> :class:`InternalLOD`.
+    manually).  Returns a mapping node offset -> :class:`InternalLOD`
+    for every node it built.
+
+    ``built`` holds LoDs that already exist (keyed by node offset):
+    those nodes are skipped, and their chains feed their parents'
+    aggregations.  Incremental updates use this to build only the nodes
+    a structural change created.
 
     ``levels`` >= 2 gives each node a highest and lowest internal LoD for
     eq. 5 to interpolate between; the lowest is one further ``ratio_s``
@@ -69,13 +77,16 @@ def build_internal_lods(tree: RTree, scene: Scene, *,
     if levels < 1:
         raise HDoVError(f"levels must be >= 1, got {levels}")
 
+    known: Dict[int, InternalLOD] = dict(built) if built else {}
     result: Dict[int, InternalLOD] = {}
     # Bottom-up: process nodes by increasing level.
     nodes = sorted(tree.iter_nodes_dfs(), key=lambda n: n.level)
     for node in nodes:
         if node.node_offset is None:
             raise HDoVError("node offsets unassigned; persist the tree first")
-        agg_mesh, child_polys = _aggregate(node, scene, result)
+        if node.node_offset in known:
+            continue
+        agg_mesh, child_polys = _aggregate(node, scene, known)
         target = max(int(child_polys * ratio_s), 4)
         highest = simplify(agg_mesh, target)
         chain_levels: List[TriangleMesh] = [highest]
@@ -87,16 +98,18 @@ def build_internal_lods(tree: RTree, scene: Scene, *,
                 continue
             current = simplify(current, coarser_target)
             chain_levels.append(current)
-        result[node.node_offset] = InternalLOD(
+        lod = InternalLOD(
             node_offset=node.node_offset,
             chain=LODChain(chain_levels),
             child_polygons=child_polys,
         )
+        known[node.node_offset] = lod
+        result[node.node_offset] = lod
     return result
 
 
 def _aggregate(node: Node, scene: Scene,
-               built: Dict[int, InternalLOD]):
+               built: Mapping[int, InternalLOD]):
     """The aggregation a node's internal LoD is simplified from.
 
     Leaf nodes aggregate their objects' finest meshes; internal nodes

@@ -2,7 +2,7 @@
 
 The storage, search and walkthrough layers mirror their accounting into a
 :class:`MetricsRegistry` so experiments and benchmarks can observe *where*
-simulated milliseconds and page I/Os go without threading stats objects
+simulated milliseconds and page I/Os go without passing stats objects
 through every call site.  Instruments are cheap handle objects fetched
 once at construction time (``reg.counter(name, **labels)``) and bumped on
 the hot path with a plain attribute add, so instrumentation does not
@@ -23,11 +23,9 @@ for the duration of a profiling run so its counters start from zero.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.concurrency.witness import wrap_lock
 from repro.errors import ObservabilityError
 
 #: Canonical label form: sorted ``(key, value)`` pairs.
@@ -145,19 +143,7 @@ class MetricsRegistry:
     cache them once.
     """
 
-    #: Lattice level of ``_lock`` (see repro.concurrency.order): the
-    #: bottom — instrument creation may happen under any other lock, and
-    #: nothing is ever acquired while this lock is held.  The instrument
-    #: hot path (``.inc()``) is lockless and does not touch it.
-    LOCK_LEVEL = "obs.registry"
-
     def __init__(self) -> None:
-        # RLock, not Lock: the lock-order witness counts acquisitions of
-        # this very lock by creating a counter *in this registry*, which
-        # re-enters ``_instrument`` on the same thread.
-        self._lock = wrap_lock(threading.RLock(),
-                               level=MetricsRegistry.LOCK_LEVEL,
-                               name="metrics-registry")
         self._metrics: Dict[Tuple[str, LabelKey], object] = {}
         self._kind_of: Dict[str, str] = {}
 
@@ -168,17 +154,16 @@ class MetricsRegistry:
         if not name:
             raise ObservabilityError("metric name must be non-empty")
         key = (name, _label_key(labels))
-        with self._lock:
-            existing_kind = self._kind_of.get(name)
-            if existing_kind is not None and existing_kind != kind:
-                raise ObservabilityError(
-                    f"metric {name!r} is a {existing_kind}, not a {kind}")
-            instrument = self._metrics.get(key)
-            if instrument is None:
-                instrument = _KINDS[kind]()
-                self._metrics[key] = instrument
-                self._kind_of[name] = kind
-            return instrument
+        existing_kind = self._kind_of.get(name)
+        if existing_kind is not None and existing_kind != kind:
+            raise ObservabilityError(
+                f"metric {name!r} is a {existing_kind}, not a {kind}")
+        instrument = self._metrics.get(key)
+        if instrument is None:
+            instrument = _KINDS[kind]()
+            self._metrics[key] = instrument
+            self._kind_of[name] = kind
+        return instrument
 
     def counter(self, name: str, **labels: object) -> Counter:
         return self._instrument("counter", name, labels)
@@ -236,9 +221,8 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Zero every instrument, keeping cached handles valid."""
-        with self._lock:
-            for instrument in self._metrics.values():
-                instrument._reset()
+        for instrument in self._metrics.values():
+            instrument._reset()
 
     def __len__(self) -> int:
         return len(self._metrics)

@@ -42,7 +42,6 @@ BUFFERPOOL_PINS = "bufferpool_pins_total"
 BUFFERPOOL_UNPINS = "bufferpool_unpins_total"
 BUFFERPOOL_WRITEBACKS = "bufferpool_writebacks_total"
 BUFFERPOOL_RESIDENT_PAGES = "bufferpool_resident_pages"
-BUFFERPOOL_COALESCED = "bufferpool_coalesced_total"
 BUFFERPOOL_PREFETCH_ISSUED = "bufferpool_prefetch_issued_total"
 BUFFERPOOL_PREFETCH_USEFUL = "bufferpool_prefetch_useful_total"
 BUFFERPOOL_PREFETCH_WASTED = "bufferpool_prefetch_wasted_total"
@@ -125,11 +124,6 @@ TRAFFIC_SESSIONS = "traffic_sessions_total"
 TRAFFIC_SESSIONS_SHED = "traffic_sessions_shed_total"
 TRAFFIC_FRAMES = "traffic_frames_total"
 TRAFFIC_REQUESTS = "traffic_requests_total"
-
-# -- repro.concurrency.witness: lock-order witness, one series per level ----
-
-LOCK_ACQUISITIONS = "lock_acquisitions_total"
-LOCK_ORDER_VIOLATIONS = "lock_order_violations_total"
 
 # -- repro.visibility.precompute: offline DoV pipeline ----------------------
 

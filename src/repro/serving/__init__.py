@@ -2,9 +2,9 @@
 
 The ROADMAP north star is a production-scale service answering many
 viewers' walkthroughs against one HDoV-tree.  This package provides the
-first rungs: N recorded sessions served through one shared, thread-safe
-:class:`~repro.storage.buffer.BufferPool`, scheduled in deterministic
-rounds with frame-budget admission control (PR 5), plus a network edge
+first rungs: N recorded sessions served through one shared
+:class:`~repro.storage.buffer.BufferPool`, scheduled on one thread in
+deterministic rounds with frame-budget admission control (PR 5), plus a network edge
 (:mod:`repro.serving.http`) exposing session create/step/close over
 HTTP and a Poisson traffic harness (:mod:`repro.serving.loadgen`)
 driving it at configurable offered load (PR 6).  Both runners report

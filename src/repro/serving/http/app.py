@@ -20,11 +20,11 @@ GET      ``/metrics``                  the metrics registry, collected
 =======  ============================  =========================================
 
 Concurrency model: every state-mutating route (create/step/close) runs
-under one ``asyncio`` lock — the HTTP-facing equivalent of the round
-scheduler's serialized phase 1.  The shared clock, the shared buffer
-pool and the per-session snapshot/delta attribution windows are only
-exact when one session steps at a time; the lock buys that exactness,
-and CPython would serialize the pure-Python traversal anyway.  Fidelity
+under one ``asyncio`` lock, so one session steps at a time — the
+HTTP-facing equivalent of the round scheduler's phase 1.  The shared
+clock, the shared buffer pool and the per-session snapshot/delta
+attribution windows are only exact when one session steps at a time;
+the lock buys that exactness across interleaved coroutines.  Fidelity
 scoring runs inline (phase 2 of the scheduler), so a stepped frame's
 record is complete when the response leaves.
 
@@ -242,7 +242,6 @@ class WalkthroughService:
                 "capacity": self.pool.capacity,
                 "hits": self.pool.hits,
                 "misses": self.pool.misses,
-                "coalesced": self.pool.coalesced,
                 "evictions": self.pool.evictions,
                 "hit_rate": self.pool.hit_rate,
             }

@@ -21,9 +21,7 @@ completion before the next event fires, everything in the report's
 arguments: same seed, byte-identical JSON — the CI traffic job diffs
 exactly that.  Wall-clock latency percentiles (measured by the timing
 middleware) are published in a separate ``wall_clock`` section and
-never gated.  The worker count is echoed in the config block but, as
-with ``repro serve``, provably cannot change a deterministic byte:
-dispatch is strictly sequential in virtual-time order.
+never gated.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ _ARRIVE = 0
 _STEP = 1
 
 
-def run_traffic(*, sessions: int = 200, seed: int = 0, workers: int = 1,
+def run_traffic(*, sessions: int = 200, seed: int = 0,
                 scale: str = "small", eta: float = 0.001,
                 frames: int = 30, scheme: Optional[str] = None,
                 arrival_rate: float = 50.0, hot_fraction: float = 0.5,
@@ -72,9 +70,6 @@ def run_traffic(*, sessions: int = 200, seed: int = 0, workers: int = 1,
         Sessions *offered* (arrivals); sheds count against this.
     seed:
         Seeds the arrival process and the hot/pattern draws.
-    workers:
-        Echoed for symmetry with ``repro serve``; dispatch is strictly
-        sequential, so the value never changes a deterministic byte.
     arrival_rate:
         Offered load in sessions per (virtual) second.
     hot_fraction:
@@ -126,7 +121,6 @@ def run_traffic(*, sessions: int = 200, seed: int = 0, workers: int = 1,
             "traffic": {
                 "scale": scale,
                 "sessions": sessions,
-                "workers": workers,
                 "seed": seed,
                 "eta": eta,
                 "frames": frames,
@@ -269,7 +263,6 @@ def _deterministic_report(app: WalkthroughApp, outcome: _Outcome,
             "capacity": pool.capacity,
             "hits": pool.hits,
             "misses": pool.misses,
-            "coalesced": pool.coalesced,
             "evictions": pool.evictions,
             "hit_rate": pool.hit_rate,
         }

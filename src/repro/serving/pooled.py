@@ -4,7 +4,7 @@ The paper's single-viewer prototype caches no tree nodes ("None of the
 two systems caches the tree nodes in the queries"), but a *service*
 amortizes exactly that: many sessions traverse the same upper tree
 levels, so the root and its children stay hot in the shared pool and
-only one session ever pays each page's disk read (single-flight).
+only the first session to touch a page pays its disk read.
 
 Misses are routed through the sanctioned ``repro.storage.pageio``
 facade, so they are retried, attributed to the ``rtree`` component, and
@@ -31,8 +31,7 @@ class PooledNodeStore(NodeStore):
 
     Shares the parent store's paged file and offset directory (the
     tree is immutable at serving time); only ``read_node`` changes —
-    it consults the pool first, so a hit costs no disk charge and a
-    miss is coalesced with any concurrent faults on the same page.
+    it consults the pool first, so a hit costs no disk charge.
     """
 
     def __init__(self, store: NodeStore, pool: BufferPool) -> None:

@@ -8,16 +8,13 @@ that segment points to — into the shared pool before the flip happens.
 
 Determinism contract (the serve report is byte-diffed in CI):
 
-* **planning** happens in the scheduler's *serialized* phase 1, via
+* **planning** happens in the scheduler's phase 1, via
   :meth:`observe` — one call per session per round, in session-id
   order.  Observation does no I/O: it trains the shared
   :class:`~repro.walkthrough.transition.CellTransitionModel` and queues
   predicted targets.
 * **issuing** happens in phase 2, via :meth:`issue_round` — exactly one
-  internally-serialized batch per round.  Phase 2 otherwise runs pure
-  scoring math, so the speculative reads are the only I/O in flight and
-  the shared clock's seek accounting stays order-independent of the
-  worker count.
+  batch per round, before any fidelity scoring, in pending-queue order.
 * prefetch I/O is charged to the prefetcher's own ledger (an
   ``env.snapshot``/``delta`` window around the batch), never to a
   session — ``repro serve``'s reconciliation adds the ledger back in,
@@ -90,15 +87,14 @@ class ServingPrefetcher:
         self.light_total = IOStats()
         self.heavy_total = IOStats()
 
-    # -- phase 1: planning (serialized, session-id order) ---------------------
+    # -- phase 1: planning (session-id order) ---------------------------------
 
     def observe(self, session_id: int, cell_id: int,
                 position: np.ndarray, scheme: StorageScheme) -> None:
         """Record one session's frame position; maybe queue a target.
 
-        Called from ``ServingSession.step`` — serialized phase 1 — so
-        model updates and the pending queue are single-threaded and
-        deterministic.  Does no I/O.
+        Called from ``ServingSession.step`` in phase 1, so model updates
+        and the pending queue follow session-id order.  Does no I/O.
         """
         last_cell = self._last_cell.get(session_id)
         if last_cell is not None and last_cell != cell_id:
@@ -118,15 +114,14 @@ class ServingPrefetcher:
             if target not in self._pending:
                 self._pending[target] = scheme
 
-    # -- phase 2: one serialized speculative batch ----------------------------
+    # -- phase 2: one speculative batch ----------------------------------------
 
     def issue_round(self) -> None:
         """Issue every queued prefetch as one deterministic batch.
 
-        Runs on a single thread; the I/O order is the pending-queue
-        order, so the shared clock's head position evolves identically
-        run to run.  The batch's charges go to the prefetcher's own
-        ledger via a snapshot window.
+        The I/O order is the pending-queue order, so the shared clock's
+        head position evolves identically run to run.  The batch's
+        charges go to the prefetcher's own ledger via a snapshot window.
         """
         if not self._pending:
             return
@@ -138,8 +133,8 @@ class ServingPrefetcher:
                 self._issue_cell(cell_id, scheme)
         finally:
             light, heavy = self.env.delta(snap)
-            self._accumulate(self.light_total, light)
-            self._accumulate(self.heavy_total, heavy)
+            self.light_total += light
+            self.heavy_total += heavy
 
     def _issue_cell(self, cell_id: int, scheme: StorageScheme) -> None:
         index_file = scheme.index_file
@@ -171,18 +166,6 @@ class ServingPrefetcher:
                                   reader=_prefetch_reader):
                 self.vpages_issued += 1
                 issued += 1
-
-    @staticmethod
-    def _accumulate(total: IOStats, delta: IOStats) -> None:
-        total.reads += delta.reads
-        total.writes += delta.writes
-        total.seeks += delta.seeks
-        total.back_seeks += delta.back_seeks
-        total.forward_seeks += delta.forward_seeks
-        total.sequential_reads += delta.sequential_reads
-        total.bytes_read += delta.bytes_read
-        total.bytes_written += delta.bytes_written
-        total.simulated_ms += delta.simulated_ms
 
     # -- reporting ------------------------------------------------------------
 

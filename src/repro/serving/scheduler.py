@@ -1,18 +1,16 @@
 """Round-based session scheduling with admission control.
 
-The scheduler advances every active session by one frame per *round*:
+The scheduler advances every active session by one frame per *round*,
+on one thread:
 
-* **phase 1** (query + accounting) runs serialized, in ascending
-  session id.  CPython's GIL would serialize the pure-Python traversal
-  anyway, so nothing real is lost — and in exchange the shared
-  simulated clock, the shared buffer pool, and the fault injector's RNG
-  are consumed in one deterministic order, making the whole service a
-  pure function of (sessions, seed, scale, eta, frames, plan),
-  independent of worker count;
-* **phase 2** (fidelity scoring — read-only math) fans out to a
-  :class:`~concurrent.futures.ThreadPoolExecutor` with ``workers``
-  threads; the round barrier installs every score before the next
-  round, so the results are identical whether 1 or 16 workers ran.
+* **phase 1** (query + accounting) steps each session in ascending
+  session id, so the shared simulated clock, the shared buffer pool and
+  the fault injector's RNG are consumed in one deterministic order,
+  making the whole service a pure function of (sessions, seed, scale,
+  eta, frames, plan);
+* **phase 2** issues the round's speculative prefetch batch, then
+  scores each stepped frame's fidelity and installs the score, in the
+  same session order.
 
 Admission control: at most ``max_active`` sessions run concurrently;
 the rest wait in FIFO (session id) order and are admitted as slots
@@ -23,14 +21,10 @@ to the root-LoD degraded answer instead of queueing work unboundedly.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Deque, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Deque, List, Optional,
+                    Sequence, Tuple)
 
-from typing import TYPE_CHECKING
-
-from repro.concurrency.witness import wrap_lock
 from repro.errors import WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import get_registry
@@ -41,27 +35,12 @@ if TYPE_CHECKING:
 
 
 class SessionScheduler:
-    """Drives N sessions to completion in deterministic rounds.
-
-    The scheduler's own bookkeeping (``rounds``, ``frames_served``,
-    admission churn) is guarded by ``_state_lock`` so observers — the
-    HTTP stats endpoint, a progress poller — can read a consistent
-    snapshot via :meth:`progress` while a round is in flight.  Session
-    stepping happens *outside* the lock: the state lock sits at the top
-    of the lock lattice and must never be held across pool or file work.
-    """
-
-    #: Lattice level of ``_state_lock`` (see repro.concurrency.order):
-    #: the outermost level — holding it, only pool/file/registry locks
-    #: may be acquired, never another scheduler's.
-    LOCK_LEVEL = "serving.scheduler"
+    """Drives N sessions to completion in deterministic rounds."""
 
     def __init__(self, sessions: Sequence[ServingSession], *,
-                 workers: int = 1, max_active: Optional[int] = None,
+                 max_active: Optional[int] = None,
                  frame_budget_ms: Optional[float] = None,
                  prefetcher: Optional["ServingPrefetcher"] = None) -> None:
-        if workers < 1:
-            raise WalkthroughError(f"workers must be >= 1, got {workers}")
         if max_active is not None and max_active < 1:
             raise WalkthroughError(
                 f"max_active must be >= 1, got {max_active}")
@@ -69,14 +48,10 @@ class SessionScheduler:
             raise WalkthroughError(
                 f"frame_budget_ms must be > 0, got {frame_budget_ms}")
         self.sessions = sorted(sessions, key=lambda s: s.session_id)
-        self.workers = workers
         self.max_active = (max_active if max_active is not None
                            else max(len(self.sessions), 1))
         self.frame_budget_ms = frame_budget_ms
         self.prefetcher = prefetcher
-        self._state_lock = wrap_lock(threading.Lock(),
-                                     level=SessionScheduler.LOCK_LEVEL,
-                                     name="scheduler")
         self.rounds = 0
         self.frames_served = 0
 
@@ -89,24 +64,19 @@ class SessionScheduler:
         m_active = registry.gauge(names.SERVING_ACTIVE_SESSIONS)
         waiting: Deque[ServingSession] = deque(self.sessions)
         active: List[ServingSession] = []
-        executor = (ThreadPoolExecutor(max_workers=self.workers)
-                    if self.workers > 1 else None)
         try:
             while waiting or active:
-                with self._state_lock:
-                    while waiting and len(active) < self.max_active:
-                        active.append(waiting.popleft())
-                    for session in waiting:
-                        session.admission_wait_rounds += 1
-                        m_waits.inc()
-                    m_active.set(len(active))
-                    self.rounds += 1
-                    m_rounds.inc()
+                while waiting and len(active) < self.max_active:
+                    active.append(waiting.popleft())
+                for session in waiting:
+                    session.admission_wait_rounds += 1
+                    m_waits.inc()
+                m_active.set(len(active))
+                self.rounds += 1
+                m_rounds.inc()
 
-                # Phase 1 — serialized query + accounting, id order.
-                # Stepping runs outside the state lock: session.step()
-                # reaches pool and file locks, and the lattice forbids
-                # holding the scheduler lock across blocking work.
+                # Phase 1 — query + accounting, session-id order.  A
+                # round a fault aborts adds nothing to frames_served.
                 served = 0
                 scoring: List[Tuple[ServingSession,
                                     Callable[[], float]]] = []
@@ -119,49 +89,21 @@ class SessionScheduler:
                     m_frames.inc()
                     if thunk is not None:
                         scoring.append((session, thunk))
-                with self._state_lock:
-                    self.frames_served += served
+                self.frames_served += served
 
-                # Phase 2 — parallel fidelity scoring, plus the round's
-                # speculative prefetch batch (one internally-serialized
-                # task; scoring does no I/O, so interleaving the batch
-                # with it cannot change a single report byte).  The
-                # round barrier installs every score in session order
-                # and waits the batch out before the next phase 1.
-                if executor is not None:
-                    prefetch_future = (
-                        executor.submit(self.prefetcher.issue_round)
-                        if self.prefetcher is not None else None)
-                    futures = [(session, executor.submit(thunk))
-                               for session, thunk in scoring]
-                    for session, future in futures:
-                        session.install_fidelity(future.result())
-                    if prefetch_future is not None:
-                        prefetch_future.result()
-                else:
-                    if self.prefetcher is not None:
-                        self.prefetcher.issue_round()
-                    for session, thunk in scoring:
-                        session.install_fidelity(thunk())
+                # Phase 2 — the prefetch batch, then fidelity scores.
+                if self.prefetcher is not None:
+                    self.prefetcher.issue_round()
+                for session, thunk in scoring:
+                    session.install_fidelity(thunk())
 
                 active = [s for s in active if not s.done]
         finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
             # The loop exits (or aborts) with no session being served;
             # without this, post-run scrapes and the `repro serve`
             # report would show the last round's count as still active.
             m_active.set(0)
 
-    def progress(self) -> Tuple[int, int]:
-        """``(rounds, frames_served)`` as one consistent snapshot.
-
-        Safe to call from any thread while :meth:`run` is in flight.
-        """
-        with self._state_lock:
-            return (self.rounds, self.frames_served)
-
     def __repr__(self) -> str:
         return (f"SessionScheduler(sessions={len(self.sessions)}, "
-                f"workers={self.workers}, max_active={self.max_active}, "
-                f"rounds={self.rounds})")
+                f"max_active={self.max_active}, rounds={self.rounds})")

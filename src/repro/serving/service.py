@@ -8,17 +8,14 @@ degraded-frame counts, and an exact reconciliation of per-session
 accounting against the shared clock.
 
 The report deliberately contains *no wall-clock measurements*:
-everything in it is a pure function of (sessions, workers is excluded —
-see below, seed, scale, eta, frames, plan), so two runs with the same
-arguments must produce byte-identical JSON — the CI serving-stress job
-diffs exactly that.  The worker count is echoed in the config block but
-provably cannot change any other byte: phase 1 is serialized and phase
-2 is order-independent (see ``scheduler.py``).
+everything in it is a pure function of (sessions, seed, scale, eta,
+frames, plan), so two runs with the same arguments must produce
+byte-identical JSON — the CI serving-stress job diffs exactly that.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -39,6 +36,11 @@ from repro.storage.faults import FaultInjector, named_plan
 from repro.visibility.cells import CellGrid
 from repro.walkthrough.metrics import frame_time_stats
 from repro.walkthrough.session import make_session
+
+#: The integer IOStats counters, which must reconcile exactly; only the
+#: float ``simulated_ms`` is compared within :data:`_MS_RTOL`.
+_EXACT_FIELDS = tuple(f.name for f in fields(IOStats)
+                      if f.name != "simulated_ms")
 
 #: Relative tolerance for simulated-ms reconciliation: per-session ms
 #: are telescoping float differences of the shared clock, so their sum
@@ -78,12 +80,18 @@ def _stats_dict(stats: IOStats) -> Dict[str, object]:
     }
 
 
+def _ios_equal(parts: IOStats, total: IOStats) -> bool:
+    """Every integer counter of the two ledgers agrees exactly."""
+    return all(getattr(parts, name) == getattr(total, name)
+               for name in _EXACT_FIELDS)
+
+
 def _ms_close(total: float, parts: float) -> bool:
     scale = max(abs(total), abs(parts), 1.0)
     return abs(total - parts) <= _MS_RTOL * scale
 
 
-def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
+def run_serve(*, sessions: int = 8, seed: int = 7,
               scale: str = "small", eta: float = 0.001,
               frames: Optional[int] = None,
               scheme: Optional[str] = None,
@@ -102,9 +110,6 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
     ----------
     sessions:
         Number of concurrent walkthrough sessions.
-    workers:
-        Fidelity-scoring worker threads (1 = the inline sequential
-        path).  Changes wall-clock only, never a byte of the report.
     seed:
         Draws each session's motion pattern; same seed, same report.
     scale / eta / frames / scheme:
@@ -197,8 +202,7 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
         if fault_plan is not None:
             injector = FaultInjector(fault_plan, seed=fault_seed)
             injector.install(*files)
-        scheduler = SessionScheduler(served, workers=workers,
-                                     max_active=max_active,
+        scheduler = SessionScheduler(served, max_active=max_active,
                                      frame_budget_ms=frame_budget_ms,
                                      prefetcher=prefetcher)
         error: Optional[str] = None
@@ -217,7 +221,6 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
             "serve": {
                 "scale": scale,
                 "sessions": sessions,
-                "workers": workers,
                 "seed": seed,
                 "eta": eta,
                 "scheme": served[0].delta.search.scheme.name,
@@ -268,7 +271,6 @@ def session_report(session: ServingSession,
         "pool": {
             "hits": session.pool_hits,
             "misses": session.pool_misses,
-            "coalesced": session.pool_coalesced,
         },
         "fidelity_mean": session.fidelity_mean(),
     }
@@ -294,7 +296,6 @@ def _pool_report(pool: Optional[BufferPool]) -> Optional[Dict[str, object]]:
         "resident_pages": pool.resident_pages,
         "hits": pool.hits,
         "misses": pool.misses,
-        "coalesced": pool.coalesced,
         "evictions": pool.evictions,
         "hit_rate": pool.hit_rate,
         "prefetch": pool.prefetch_stats(),
@@ -307,39 +308,22 @@ def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
                ) -> Dict[str, object]:
     """Per-session attribution must add up to the shared ledgers.
 
-    Integer I/O counts balance exactly (phase 1 is serialized, so the
-    snapshot/delta windows partition the shared counters); simulated ms
-    balance within float-rounding tolerance.  With prefetch on, the
-    speculative batches' charges live in the prefetcher's own ledger —
-    never a session's — and are added back here, so the balance stays
-    exact instead of leaking the speculation into session attribution.
+    Every integer :class:`IOStats` field balances exactly (sessions are
+    stepped one at a time, so the snapshot/delta windows partition the
+    shared counters); simulated ms balance within float-rounding
+    tolerance.  With prefetch on, the speculative batches' charges live
+    in the prefetcher's own ledger — never a session's — and are added
+    back here, so the balance stays exact instead of leaking the
+    speculation into session attribution.
     """
     sum_light = IOStats()
     sum_heavy = IOStats()
-    parts_light = [session.light_total for session in served]
-    parts_heavy = [session.heavy_total for session in served]
+    for session in served:
+        sum_light += session.light_total
+        sum_heavy += session.heavy_total
     if prefetcher is not None:
-        parts_light.append(prefetcher.light_total)
-        parts_heavy.append(prefetcher.heavy_total)
-    for total, parts in ((sum_light, parts_light),
-                         (sum_heavy, parts_heavy)):
-        for part in parts:
-            total.reads += part.reads
-            total.writes += part.writes
-            total.seeks += part.seeks
-            total.sequential_reads += part.sequential_reads
-            total.bytes_read += part.bytes_read
-            total.bytes_written += part.bytes_written
-            total.simulated_ms += part.simulated_ms
-    light_ok = (sum_light.reads == env.light_stats.reads
-                and sum_light.writes == env.light_stats.writes
-                and sum_light.seeks == env.light_stats.seeks
-                and sum_light.sequential_reads
-                == env.light_stats.sequential_reads
-                and sum_light.bytes_read == env.light_stats.bytes_read)
-    heavy_ok = (sum_heavy.reads == env.heavy_stats.reads
-                and sum_heavy.writes == env.heavy_stats.writes
-                and sum_heavy.bytes_read == env.heavy_stats.bytes_read)
+        sum_light += prefetcher.light_total
+        sum_heavy += prefetcher.heavy_total
     ms_ok = (_ms_close(env.light_stats.simulated_ms,
                        sum_light.simulated_ms)
              and _ms_close(env.heavy_stats.simulated_ms,
@@ -349,8 +333,8 @@ def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
         "light_environment": _stats_dict(env.light_stats),
         "heavy_sessions": _stats_dict(sum_heavy),
         "heavy_environment": _stats_dict(env.heavy_stats),
-        "light_ios_balanced": light_ok,
-        "heavy_ios_balanced": heavy_ok,
+        "light_ios_balanced": _ios_equal(sum_light, env.light_stats),
+        "heavy_ios_balanced": _ios_equal(sum_heavy, env.heavy_stats),
         "simulated_ms_balanced": ms_ok,
     }
     if prefetcher is not None:
@@ -359,6 +343,5 @@ def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
     if pool is not None:
         result["pool_balanced"] = (
             sum(s.pool_hits for s in served) == pool.hits
-            and sum(s.pool_misses for s in served) == pool.misses
-            and sum(s.pool_coalesced for s in served) == pool.coalesced)
+            and sum(s.pool_misses for s in served) == pool.misses)
     return result

@@ -5,15 +5,14 @@
 delta fetch, frame-time model) but exposes it as a ``step()`` the
 scheduler drives one frame at a time, in *two phases*:
 
-* **phase 1 — query + accounting** (``step``): runs serialized by the
-  scheduler, in ascending session id.  All I/O, all shared-clock
-  charges, and all shared-pool traffic happen here, which is what makes
-  the per-session attribution exact and the whole service
-  bit-deterministic regardless of worker count.
+* **phase 1 — query + accounting** (``step``): the scheduler steps
+  sessions one at a time, in ascending session id.  All I/O, all
+  shared-clock charges, and all shared-pool traffic happen here, which
+  is what makes the per-session attribution exact and the whole
+  service bit-deterministic.
 * **phase 2 — fidelity scoring** (the thunk ``step`` returns): pure
-  read-only math over the environment's ground truth, safe to fan out
-  to the worker pool.  The score is installed at the round barrier via
-  :meth:`install_fidelity`.
+  read-only math over the environment's ground truth.  The score is
+  installed at the end of the round via :meth:`install_fidelity`.
 
 Overload shedding: when the scheduler flags that the session's previous
 frame blew the frame budget, a frame that would query instead answers
@@ -45,25 +44,13 @@ from repro.walkthrough.metrics import FidelityMetric
 from repro.walkthrough.session import Session
 
 
-def _accumulate(total: IOStats, delta: IOStats) -> None:
-    total.reads += delta.reads
-    total.writes += delta.writes
-    total.seeks += delta.seeks
-    total.back_seeks += delta.back_seeks
-    total.forward_seeks += delta.forward_seeks
-    total.sequential_reads += delta.sequential_reads
-    total.bytes_read += delta.bytes_read
-    total.bytes_written += delta.bytes_written
-    total.simulated_ms += delta.simulated_ms
-
-
 class ServingSession:
     """A recorded path replayed one frame per scheduler round.
 
     Parameters
     ----------
     session_id:
-        Stable id; the scheduler serializes phase 1 in ascending order.
+        Stable id; the scheduler steps sessions in ascending id order.
     path:
         The recorded waypoint sequence.
     env:
@@ -101,12 +88,11 @@ class ServingSession:
         self.admission_wait_rounds = 0
         self.last_frame_ms = 0.0
         #: Per-session I/O attribution, exact: deltas of the shared
-        #: stats taken around this session's serialized phase 1.
+        #: stats taken around this session's phase 1.
         self.light_total = IOStats()
         self.heavy_total = IOStats()
         self.pool_hits = 0
         self.pool_misses = 0
-        self.pool_coalesced = 0
         self._last_cell: Optional[int] = None
         self._last_result: Optional[SearchResult] = None
         self._last_fidelity = float("nan")
@@ -116,15 +102,14 @@ class ServingSession:
     def done(self) -> bool:
         return self.next_frame >= self.path.num_frames
 
-    # -- phase 1: query + accounting (serialized) ---------------------------
+    # -- phase 1: query + accounting ----------------------------------------
 
     def step(self, *, shed_load: bool = False) \
             -> Optional[Callable[[], float]]:
         """Advance one frame; returns the phase-2 scoring thunk, if any.
 
-        Must be called with no other session's phase 1 in flight: the
-        shared-clock and shared-pool deltas taken here attribute every
-        charge of this frame to this session.
+        The shared-clock and shared-pool deltas taken here attribute
+        every charge of this frame to this session.
         """
         if self.done:
             return None
@@ -135,7 +120,6 @@ class ServingSession:
         pool = self.pool
         if pool is not None:
             hits0, misses0 = pool.hits, pool.misses
-            coalesced0 = pool.coalesced
         queried = cell_id != self._last_cell or self._last_result is None
         thunk: Optional[Callable[[], float]] = None
         if queried:
@@ -158,12 +142,11 @@ class ServingSession:
             if self.evaluate_fidelity:
                 thunk = partial(self._fidelity.score_hdov, result)
         light, heavy = self.env.delta(snap)
-        _accumulate(self.light_total, light)
-        _accumulate(self.heavy_total, heavy)
+        self.light_total += light
+        self.heavy_total += heavy
         if pool is not None:
             self.pool_hits += pool.hits - hits0
             self.pool_misses += pool.misses - misses0
-            self.pool_coalesced += pool.coalesced - coalesced0
         io_ms = light.simulated_ms + heavy.simulated_ms
         assert self._last_result is not None
         polygons = self._last_result.total_polygons
@@ -198,7 +181,7 @@ class ServingSession:
                                     self.delta.search.scheme)
         return thunk
 
-    # -- phase 2 barrier -----------------------------------------------------
+    # -- phase 2: fidelity -------------------------------------------------
 
     def install_fidelity(self, fidelity: float) -> None:
         """Install a phase-2 score into the frame that produced it."""

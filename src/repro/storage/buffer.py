@@ -1,47 +1,33 @@
-"""Thread-safe buffer pool over :class:`~repro.storage.pagedfile.PagedFile`.
+"""Buffer pool over :class:`~repro.storage.pagedfile.PagedFile`.
 
 The walkthrough systems cache tree nodes and V-pages; the buffer pool
 makes cache hits free and tracks hit/miss counts.  Pages can be pinned to
 protect them from eviction while a traversal holds references.
 
 Replacement is pluggable (see :mod:`repro.storage.replacement`): the
-pool owns frames, pins, latches and locking, while a
+pool owns frames and pins, while a
 :class:`~repro.storage.replacement.ReplacementPolicy` owns only the
 eviction order.  The default ``"lru"`` policy reproduces the historical
 LRU pool bit-for-bit; ``"2q"`` adds scan resistance for the
 many-session undersized-pool regime.
 
-Concurrency model (see DESIGN.md §10):
+The pool is single-threaded, like every in-process serving path (see
+DESIGN.md §10).  A miss counts the miss, frees a frame, reads the page
+and installs it — in that order, so an eviction's write-back always
+precedes the read that needed the frame.
 
-* one pool-wide :class:`threading.RLock` guards all frame-table state —
-  get/put/evict/unpin/flush/clear are linearized on it; the policy is
-  only ever called with this lock held;
-* a per-``(file, page)`` *in-flight read latch* gives single-flight
-  reads: the first thread to miss a page becomes the owner and performs
-  the disk read with the pool lock **released**; later threads faulting
-  the same page block on the latch and share the owner's bytes (they
-  count as hits, plus a ``coalesced`` counter, because no disk read was
-  issued on their behalf);
-* lock order is pool lock → file lock, never the reverse.  The pool
-  calls into a :class:`PagedFile` while holding its lock only for
-  eviction write-back; miss reads happen outside the pool lock so a slow
-  read of one page never blocks hits on other pages.
-
-Speculative reads (:meth:`BufferPool.prefetch`) use the same
-single-flight path but none of the demand counters: an issued prefetch
-is counted ``prefetch_useful`` the first time a demand ``get`` consumes
-it (including by coalescing onto the in-flight latch) and
+Speculative reads (:meth:`BufferPool.prefetch`) take the same read path
+but none of the demand counters: an issued prefetch is counted
+``prefetch_useful`` the first time a demand ``get`` consumes it and
 ``prefetch_wasted`` if it is evicted untouched — so demand hit/miss
 accounting stays comparable with prefetch on or off.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.concurrency.witness import wrap_lock
 from repro.errors import BufferPoolError, BufferPoolExhaustedError
 from repro.obs import names
 from repro.obs.metrics import get_registry
@@ -64,25 +50,8 @@ class _Frame:
     speculative: bool = False
 
 
-@dataclass
-class _Latch:
-    """In-flight read marker for one ``(file, page)`` key.
-
-    The owner thread sets exactly one of ``data``/``error`` before
-    signalling ``done``; waiters read the fields only after ``done``.
-    ``speculative``/``consumed`` track prefetch attribution: a demand
-    waiter on a speculative latch consumes the prefetch exactly once.
-    """
-
-    done: threading.Event = field(default_factory=threading.Event)
-    data: Optional[bytes] = None
-    error: Optional[BaseException] = None
-    speculative: bool = False
-    consumed: bool = False
-
-
 class BufferPool:
-    """Fixed-capacity page cache with pluggable replacement, thread-safe.
+    """Fixed-capacity page cache with pluggable replacement.
 
     Keys are ``(file, page_id)`` pairs, so one pool can front several
     files (tree file, V-page file, object store) with a single memory
@@ -105,11 +74,6 @@ class BufferPool:
         :class:`~repro.storage.replacement.ReplacementPolicy` instance.
     """
 
-    #: Lattice level of ``_lock`` (see repro.concurrency.order): below
-    #: the scheduler's state lock, above the per-file I/O lock — the
-    #: pool may write back into a PagedFile, a file never calls a pool.
-    LOCK_LEVEL = "bufferpool"
-
     def __init__(self, capacity: int, *, name: str = "default",
                  policy: Union[str, ReplacementPolicy] = "lru") -> None:
         if capacity < 1:
@@ -117,16 +81,11 @@ class BufferPool:
         self.capacity = capacity
         self.name = name
         self._policy = make_policy(policy, capacity, name)
-        self._lock = wrap_lock(threading.RLock(),
-                               level=BufferPool.LOCK_LEVEL,
-                               name=f"bufferpool:{name}")
         self._frames: Dict[Tuple[int, int], _Frame] = {}
         self._files: Dict[int, PagedFile] = {}
-        self._latches: Dict[Tuple[int, int], _Latch] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.coalesced = 0
         self.prefetch_issued = 0
         self.prefetch_useful = 0
         self.prefetch_wasted = 0
@@ -141,8 +100,6 @@ class BufferPool:
                                           pool=name)
         self._m_writebacks = registry.counter(
             names.BUFFERPOOL_WRITEBACKS, pool=name)
-        self._m_coalesced = registry.counter(
-            names.BUFFERPOOL_COALESCED, pool=name)
         self._m_resident = registry.gauge(names.BUFFERPOOL_RESIDENT_PAGES,
                                           pool=name)
         self._m_prefetch_issued = registry.counter(
@@ -164,17 +121,14 @@ class BufferPool:
         return (fid, page_id)
 
     def _evict_one(self) -> None:
-        """Evict the policy's best unpinned candidate.  Caller holds lock."""
+        """Evict the policy's best unpinned candidate."""
         for key in self._policy.victims():
             frame = self._frames.get(key)
             if frame is None or frame.pin_count != 0:
                 continue
             if frame.dirty:
                 fid, page_id = key
-                # Eviction write-back is the one sanctioned pool->file
-                # call under the pool lock (DESIGN.md §10); miss reads
-                # happen outside the lock via the single-flight latch.
-                self._files[fid].write_page(page_id, frame.data)  # repro: ignore[RPR012]
+                self._files[fid].write_page(page_id, frame.data)
                 self._m_writebacks.inc()
             if frame.speculative:
                 self.prefetch_wasted += 1
@@ -188,23 +142,18 @@ class BufferPool:
             f"all {len(self._frames)} frames are pinned; cannot evict")
 
     def _install(self, key: Tuple[int, int], frame: _Frame) -> None:
-        """Insert ``frame``, evicting until under capacity.  Caller holds lock.
-
-        Concurrent owners can momentarily push the table past capacity
-        between their pre-read eviction and install, so installation
-        enforces the bound again.
-        """
+        """Insert ``frame``, evicting until under capacity."""
         while len(self._frames) >= self.capacity:
             self._evict_one()
         self._frames[key] = frame
         self._policy.on_insert(key)
         self._m_resident.set(len(self._frames))
 
-    def _pin_locked(self, frame: _Frame) -> None:
+    def _pin(self, frame: _Frame) -> None:
         frame.pin_count += 1
         self._m_pins.inc()
 
-    def _consume_frame_locked(self, frame: _Frame) -> None:
+    def _consume(self, frame: _Frame) -> None:
         """First demand hit on a prefetched frame: attribute usefulness."""
         if frame.speculative:
             frame.speculative = False
@@ -220,82 +169,54 @@ class BufferPool:
         ``reader`` overrides how a miss fetches bytes (default
         ``pfile.read_page``); the serving layer passes a
         ``pageio``-routed reader so misses get retry + component
-        accounting.  Concurrent misses on the same page coalesce into
-        one read: only the owner's ``reader`` runs, and every waiter
-        counts a hit plus ``coalesced``.  A demand hit on a prefetched
-        frame (or a demand fault coalescing onto an in-flight prefetch)
-        additionally consumes the prefetch: ``prefetch_useful``.
+        accounting.  A demand hit on a prefetched frame additionally
+        consumes the prefetch: ``prefetch_useful``.
         """
-        with self._lock:
-            # Under the lock: _key registers pfile in the _files map, and
-            # that map is otherwise only mutated lock-held (put/clear).
-            key = self._key(pfile, page_id)
-            frame = self._frames.get(key)
-            if frame is not None:
-                self.hits += 1
-                self._m_hits.inc()
-                self._policy.on_access(key)
-                self._consume_frame_locked(frame)
-                if pin:
-                    self._pin_locked(frame)
-                return frame.data
-            latch = self._latches.get(key)
-            owner = latch is None
-            if owner:
-                # Count the miss and free a frame *before* the read
-                # (matching the sequential pool's eviction-then-read I/O
-                # order), then read with the lock released.
-                self.misses += 1
-                self._m_misses.inc()
-                if len(self._frames) >= self.capacity:
-                    self._evict_one()
-                latch = _Latch()
-                self._latches[key] = latch
-            else:
-                # Another thread is already reading this page; its bytes
-                # will be shared, so no disk read is charged to us.
-                self.hits += 1
-                self.coalesced += 1
-                self._m_hits.inc()
-                self._m_coalesced.inc()
-                if latch.speculative and not latch.consumed:
-                    latch.consumed = True
-                    self.prefetch_useful += 1
-                    self._m_prefetch_useful.inc()
-        assert latch is not None
-        if owner:
-            return self._read_as_owner(key, pfile, page_id, latch,
-                                       pin=pin, reader=reader)
-        return self._wait_as_waiter(key, latch, pin=pin)
+        key = self._key(pfile, page_id)
+        frame = self._frames.get(key)
+        if frame is not None:
+            self.hits += 1
+            self._m_hits.inc()
+            self._policy.on_access(key)
+            self._consume(frame)
+            if pin:
+                self._pin(frame)
+            return frame.data
+        self.misses += 1
+        self._m_misses.inc()
+        if len(self._frames) >= self.capacity:
+            self._evict_one()
+        frame = _Frame(self._read(pfile, page_id, reader))
+        self._install(key, frame)
+        if pin:
+            self._pin(frame)
+        return frame.data
 
     def prefetch(self, pfile: PagedFile, page_id: int, *,
                  reader: Optional[PageReader] = None) -> bool:
         """Speculatively read a page into the pool; ``True`` if issued.
 
-        No demand counters move: a resident or in-flight page is left
-        alone (``False``), and an issued read counts only
-        ``prefetch_issued``.  The installed frame is marked speculative;
-        the first demand ``get`` consuming it (directly or by latch
-        coalescing) counts ``prefetch_useful``, and eviction of an
-        unconsumed frame counts ``prefetch_wasted`` — never a session's
-        demand hit/miss.  A pool whose every frame is pinned declines
-        the prefetch instead of raising: speculation is best-effort.
+        No demand counters move: a resident page is left alone
+        (``False``), and an issued read counts only ``prefetch_issued``.
+        The installed frame is marked speculative; the first demand
+        ``get`` consuming it counts ``prefetch_useful``, and eviction of
+        an unconsumed frame counts ``prefetch_wasted`` — never a
+        session's demand hit/miss.  A pool whose every frame is pinned
+        declines the prefetch instead of raising: speculation is
+        best-effort.
         """
-        with self._lock:
-            key = self._key(pfile, page_id)
-            if key in self._frames or key in self._latches:
+        key = self._key(pfile, page_id)
+        if key in self._frames:
+            return False
+        if len(self._frames) >= self.capacity:
+            try:
+                self._evict_one()
+            except BufferPoolExhaustedError:
                 return False
-            if len(self._frames) >= self.capacity:
-                try:
-                    self._evict_one()
-                except BufferPoolExhaustedError:
-                    return False
-            self.prefetch_issued += 1
-            self._m_prefetch_issued.inc()
-            latch = _Latch(speculative=True)
-            self._latches[key] = latch
-        self._read_as_owner(key, pfile, page_id, latch, pin=False,
-                            reader=reader, speculative=True)
+        self.prefetch_issued += 1
+        self._m_prefetch_issued.inc()
+        data = self._read(pfile, page_id, reader)
+        self._install(key, _Frame(data, speculative=True))
         return True
 
     def peek(self, pfile: PagedFile, page_id: int) -> Optional[bytes]:
@@ -304,95 +225,43 @@ class BufferPool:
         The prefetch machinery uses this to decode already-prefetched
         index pages; a demand path must use :meth:`get`.
         """
-        with self._lock:
-            frame = self._frames.get((pfile.file_id, page_id))
-            return frame.data if frame is not None else None
+        frame = self._frames.get((pfile.file_id, page_id))
+        return frame.data if frame is not None else None
 
-    def _read_as_owner(self, key: Tuple[int, int], pfile: PagedFile,
-                       page_id: int, latch: _Latch, *, pin: bool,
-                       reader: Optional[PageReader],
-                       speculative: bool = False) -> bytes:
-        """Perform the single-flight read.  Caller does NOT hold the lock."""
-        try:
-            if reader is not None:
-                data = reader(pfile, page_id)
-            else:
-                data = pfile.read_page(page_id)
-        except BaseException as exc:
-            # Propagate the failure to every waiter, then clear the latch
-            # so a later get() retries the read instead of deadlocking.
-            with self._lock:
-                latch.error = exc
-                self._latches.pop(key, None)
-                latch.done.set()
-            raise
-        with self._lock:
-            # A demand waiter may have consumed the prefetch while the
-            # read was in flight; the frame then lands non-speculative.
-            frame = _Frame(data, speculative=speculative
-                           and not latch.consumed)
-            self._install(key, frame)
-            if pin:
-                self._pin_locked(frame)
-            latch.data = data
-            self._latches.pop(key, None)
-            latch.done.set()
-        return data
-
-    def _wait_as_waiter(self, key: Tuple[int, int], latch: _Latch, *,
-                        pin: bool) -> bytes:
-        latch.done.wait()
-        if latch.error is not None:
-            raise latch.error
-        data = latch.data
-        assert data is not None
-        with self._lock:
-            frame = self._frames.get(key)
-            if frame is not None:
-                self._policy.on_access(key)
-                self._consume_frame_locked(frame)
-                if pin:
-                    self._pin_locked(frame)
-                return frame.data
-            # The frame was already evicted between the owner's install
-            # and this waiter waking up; the latched bytes stay valid.
-            # Re-install only if the caller needs a pinned residency.
-            if pin:
-                frame = _Frame(data)
-                self._install(key, frame)
-                self._pin_locked(frame)
-        return data
+    @staticmethod
+    def _read(pfile: PagedFile, page_id: int,
+              reader: Optional[PageReader]) -> bytes:
+        if reader is not None:
+            return reader(pfile, page_id)
+        return pfile.read_page(page_id)
 
     def put(self, pfile: PagedFile, page_id: int, data: bytes) -> None:
         """Install new page contents; written back on eviction or flush."""
         if len(data) > pfile.page_size:
             raise BufferPoolError("payload exceeds page size")
-        with self._lock:
-            key = self._key(pfile, page_id)
-            frame = self._frames.get(key)
-            if frame is None:
-                frame = _Frame(data=b"")
-                self._install(key, frame)
-            frame.data = bytes(data)
-            frame.dirty = True
-            # Overwriting speculative bytes ends the speculation without
-            # attributing usefulness: the prefetched contents were never
-            # read.
-            frame.speculative = False
-            self._policy.on_access(key)
+        key = self._key(pfile, page_id)
+        frame = self._frames.get(key)
+        if frame is None:
+            frame = _Frame(data=b"")
+            self._install(key, frame)
+        frame.data = bytes(data)
+        frame.dirty = True
+        # Overwriting speculative bytes ends the speculation without
+        # attributing usefulness: the prefetched contents were never
+        # read.
+        frame.speculative = False
+        self._policy.on_access(key)
 
     def unpin(self, pfile: PagedFile, page_id: int) -> None:
-        with self._lock:
-            key = (pfile.file_id, page_id)
-            frame = self._frames.get(key)
-            if frame is None or frame.pin_count == 0:
-                raise BufferPoolError(f"unpin of unpinned page {page_id}")
-            frame.pin_count -= 1
-            self._m_unpins.inc()
+        key = (pfile.file_id, page_id)
+        frame = self._frames.get(key)
+        if frame is None or frame.pin_count == 0:
+            raise BufferPoolError(f"unpin of unpinned page {page_id}")
+        frame.pin_count -= 1
+        self._m_unpins.inc()
 
     def contains(self, pfile: PagedFile, page_id: int) -> bool:
-        with self._lock:
-            return (pfile.file_id, page_id) in self._frames
+        return (pfile.file_id, page_id) in self._frames
 
     def flush(self) -> None:
         """Write back every dirty frame (keeps frames resident).
@@ -401,17 +270,13 @@ class BufferPool:
         recently used first), matching the order evictions would have
         flushed them.
         """
-        with self._lock:
-            for key in self._policy.keys():
-                frame = self._frames.get(key)
-                if frame is not None and frame.dirty:
-                    fid, page_id = key
-                    # Flush write-back mirrors the eviction exception: same
-                    # pool->file lock order, and the frame table must not
-                    # change mid-flush, so the lock stays held.
-                    self._files[fid].write_page(page_id, frame.data)  # repro: ignore[RPR012]
-                    self._m_writebacks.inc()
-                    frame.dirty = False
+        for key in self._policy.keys():
+            frame = self._frames.get(key)
+            if frame is not None and frame.dirty:
+                fid, page_id = key
+                self._files[fid].write_page(page_id, frame.data)
+                self._m_writebacks.inc()
+                frame.dirty = False
 
     def clear(self) -> None:
         """Flush and drop all frames *and* file references.
@@ -420,32 +285,28 @@ class BufferPool:
         pool must not keep closed or discarded ``PagedFile`` objects
         alive after the caller is done with them.
         """
-        with self._lock:
-            if any(f.pin_count for f in self._frames.values()):
-                raise BufferPoolError("cannot clear: pinned pages present")
-            self.flush()
-            self._frames.clear()
-            self._policy.clear()
-            self._files.clear()
-            self._m_resident.set(0)
+        if any(f.pin_count for f in self._frames.values()):
+            raise BufferPoolError("cannot clear: pinned pages present")
+        self.flush()
+        self._frames.clear()
+        self._policy.clear()
+        self._files.clear()
+        self._m_resident.set(0)
 
     @property
     def resident_pages(self) -> int:
-        with self._lock:
-            return len(self._frames)
+        return len(self._frames)
 
     @property
     def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     def prefetch_stats(self) -> Dict[str, int]:
         """Speculative-read counters (stable key order, for reports)."""
-        with self._lock:
-            return {"issued": self.prefetch_issued,
-                    "useful": self.prefetch_useful,
-                    "wasted": self.prefetch_wasted}
+        return {"issued": self.prefetch_issued,
+                "useful": self.prefetch_useful,
+                "wasted": self.prefetch_wasted}
 
     def __repr__(self) -> str:
         return (f"BufferPool(capacity={self.capacity}, "

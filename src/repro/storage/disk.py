@@ -26,7 +26,7 @@ are new information, not a re-pricing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 
@@ -79,6 +79,12 @@ class IOStats:
             forward_seeks=self.forward_seeks - since.forward_seeks,
         )
 
+    def __iadd__(self, other: "IOStats") -> "IOStats":
+        """Add every counter of ``other`` (each dataclass field) in place."""
+        for name in _IOSTATS_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        return self
+
     def reset(self) -> None:
         self.reads = 0
         self.writes = 0
@@ -95,6 +101,10 @@ class IOStats:
                 f"seeks={self.seeks}, back={self.back_seeks}, "
                 f"fwd={self.forward_seeks}, seq={self.sequential_reads}, "
                 f"ms={self.simulated_ms:.3f})")
+
+
+#: Every counter :meth:`IOStats.__iadd__` sums, in declaration order.
+_IOSTATS_FIELDS = tuple(f.name for f in fields(IOStats))
 
 
 @dataclass

@@ -41,11 +41,9 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 import zlib
 from typing import TYPE_CHECKING, BinaryIO, Optional
 
-from repro.concurrency.witness import wrap_lock
 from repro.errors import StorageError
 from repro.obs import names
 from repro.obs.metrics import get_registry
@@ -83,16 +81,8 @@ class WriteAheadJournal:
     The journal never *reads* its own records — recovery
     (:mod:`repro.storage.recovery`) scans the file independently — so
     this class is a pure appender: records, commit markers, fsync,
-    reset.  All methods serialize on one lock at lattice level
-    ``journal``, acquired while the owner holds its ``pagedfile``-level
-    I/O lock (strict descent; see :mod:`repro.concurrency.order`).
+    reset.
     """
-
-    #: Lattice level of ``_lock`` (see repro.concurrency.order): below
-    #: the pagedfile lock, above the metrics registry.  This level is in
-    #: BLOCKING_ALLOWED — serializing WAL appends and the commit fsync
-    #: is this lock's job.
-    LOCK_LEVEL = "journal"
 
     def __init__(self, path: str, *, page_size: int, name: str) -> None:
         if page_size <= 0:
@@ -111,9 +101,6 @@ class WriteAheadJournal:
         self._closed = False
         self._next_seqno = 1
         self._uncommitted = 0
-        self._lock = wrap_lock(threading.RLock(),
-                               level=WriteAheadJournal.LOCK_LEVEL,
-                               name=f"journal:{name}")
         # Unbuffered on purpose: the written/durable split below is the
         # whole crash model, and a Python-level buffer would add a third
         # nondeterministic state between them.
@@ -164,26 +151,22 @@ class WriteAheadJournal:
     @property
     def written_length(self) -> int:
         """Bytes written so far (header included), durable or not."""
-        with self._lock:
-            return self._written
+        return self._written
 
     @property
     def durable_length(self) -> int:
         """Bytes guaranteed to survive :meth:`simulate_power_loss`."""
-        with self._lock:
-            return self._durable
+        return self._durable
 
     @property
     def has_entries(self) -> bool:
         """Whether any record bytes follow the header."""
-        with self._lock:
-            return self._written > HEADER.size
+        return self._written > HEADER.size
 
     @property
     def uncommitted_records(self) -> int:
         """Page images appended since the last commit marker."""
-        with self._lock:
-            return self._uncommitted
+        return self._uncommitted
 
     def _check_open(self) -> None:
         if self._closed or self._fh is None:
@@ -217,15 +200,14 @@ class WriteAheadJournal:
             raise StorageError(
                 f"{self.name}: page image must be exactly "
                 f"{self.page_size} bytes, got {len(data)}")
-        with self._lock:
-            self._check_open()
-            payload = PAGE_IMAGE.pack(KIND_PAGE_IMAGE, page_id,
-                                      page_crc) + data
-            frame_crc = zlib.crc32(payload)
-            if faults is not None:
-                payload = faults.filter_journal(self.name, payload)
-            self._append(payload, frame_crc)
-            self._uncommitted += 1
+        self._check_open()
+        payload = PAGE_IMAGE.pack(KIND_PAGE_IMAGE, page_id,
+                                  page_crc) + data
+        frame_crc = zlib.crc32(payload)
+        if faults is not None:
+            payload = faults.filter_journal(self.name, payload)
+        self._append(payload, frame_crc)
+        self._uncommitted += 1
 
     def append_commit_marker(self) -> int:
         """Append a commit marker covering every image since the last.
@@ -234,34 +216,31 @@ class WriteAheadJournal:
         durable until :meth:`sync` — callers split the two so a crash
         point can land between them.
         """
-        with self._lock:
-            self._check_open()
-            seqno = self._next_seqno
-            payload = COMMIT.pack(KIND_COMMIT, seqno, self._uncommitted)
-            self._append(payload, zlib.crc32(payload))
-            self._next_seqno += 1
-            self._uncommitted = 0
-            self._m_commits.inc()
-            return seqno
+        self._check_open()
+        seqno = self._next_seqno
+        payload = COMMIT.pack(KIND_COMMIT, seqno, self._uncommitted)
+        self._append(payload, zlib.crc32(payload))
+        self._next_seqno += 1
+        self._uncommitted = 0
+        self._m_commits.inc()
+        return seqno
 
     def sync(self) -> None:
         """fsync the journal; everything written becomes durable."""
-        with self._lock:
-            self._check_open()
-            assert self._fh is not None
-            os.fsync(self._fh.fileno())
-            self._durable = self._written
+        self._check_open()
+        assert self._fh is not None
+        os.fsync(self._fh.fileno())
+        self._durable = self._written
 
     def reset(self) -> None:
         """Truncate back to an empty header (checkpoint completed)."""
-        with self._lock:
-            self._check_open()
-            assert self._fh is not None
-            self._fh.truncate(HEADER.size)
-            os.fsync(self._fh.fileno())
-            self._written = HEADER.size
-            self._durable = HEADER.size
-            self._uncommitted = 0
+        self._check_open()
+        assert self._fh is not None
+        self._fh.truncate(HEADER.size)
+        os.fsync(self._fh.fileno())
+        self._written = HEADER.size
+        self._durable = HEADER.size
+        self._uncommitted = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -273,25 +252,23 @@ class WriteAheadJournal:
         part (a torn tail), or not at all — the three shapes a real
         power loss produces, made deterministic.
         """
-        with self._lock:
-            if self._closed or self._fh is None:
-                return
-            keep = self._durable + (self._written - self._durable) // 2
-            self._fh.truncate(keep)
-            self._fh.close()
-            self._fh = None
-            self._closed = True
+        if self._closed or self._fh is None:
+            return
+        keep = self._durable + (self._written - self._durable) // 2
+        self._fh.truncate(keep)
+        self._fh.close()
+        self._fh = None
+        self._closed = True
 
     def close(self) -> None:
         """Close the handle; safe to call twice.  No implicit sync —
         the owner checkpoints (which resets) before closing."""
-        with self._lock:
-            if self._closed:
-                return
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-            self._closed = True
+        if self._closed:
+            return
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+        self._closed = True
 
     def __repr__(self) -> str:
         return (f"WriteAheadJournal({self.name!r}, "

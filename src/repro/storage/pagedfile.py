@@ -15,11 +15,9 @@ from __future__ import annotations
 import itertools
 import os
 import struct
-import threading
 import zlib
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.concurrency.witness import wrap_lock
 from repro.constants import PAGE_SIZE
 from repro.errors import PageCorruptError, PageNotFoundError, StorageError
 from repro.obs import names
@@ -83,11 +81,6 @@ class PagedFile:
     fault injector is installed, keeping the happy path allocation-free.
     """
 
-    #: Lattice level of ``_io_lock`` (see repro.concurrency.order): below
-    #: the pool lock, above the metrics-registry lock.  This level is in
-    #: BLOCKING_ALLOWED — serializing physical I/O is this lock's job.
-    LOCK_LEVEL = "pagedfile"
-
     def __init__(self, name: str, *, page_size: int = PAGE_SIZE,
                  disk: Optional[DiskModel] = None,
                  stats: Optional[IOStats] = None,
@@ -135,17 +128,6 @@ class PagedFile:
                                     else page_size + _TRAILER.size)
         self._last_accessed: Optional[int] = None
         self._closed = False
-        #: Serializes page access per file: charge + fault hooks + backend
-        #: read/write become one atomic step, so concurrent readers (e.g.
-        #: buffer-pool miss fills from different threads) cannot interleave
-        #: head tracking with the seek they are charged for.  Lock order is
-        #: pool lock → file lock (see DESIGN.md §10); a file never calls
-        #: back into a pool.  Sharing one IOStats between files accessed
-        #: from different threads still needs external serialization — the
-        #: serving scheduler provides it.
-        self._io_lock = wrap_lock(threading.RLock(),
-                                  level=PagedFile.LOCK_LEVEL,
-                                  name=f"pagedfile:{name}")
         if path is not None:
             # "r+b" keeps seek+write semantics; append mode would force
             # every write to the end of the file regardless of seeks.
@@ -159,8 +141,8 @@ class PagedFile:
                     f"physical page size {self._physical_page_size}")
             self._num_pages = size // self._physical_page_size
         #: WAL-before-data: journaled writes park page images here until
-        #: checkpoint copies them into the data file.  Guarded by
-        #: ``_io_lock``; maps page id to ``(payload, intended CRC)``.
+        #: checkpoint copies them into the data file; maps page id to
+        #: ``(payload, intended CRC)``.
         self._overlay: Dict[int, Tuple[bytes, int]] = {}
         self._journal: Optional[WriteAheadJournal] = None
         self._last_recovery: Optional["RecoveryReport"] = None
@@ -199,18 +181,17 @@ class PagedFile:
         ``close()``) is a no-op rather than an error — the common
         ``with``-block-plus-cleanup pattern must not raise.
         """
-        with self._io_lock:
-            if self._closed:
-                return
-            if self._journal is not None:
-                self.checkpoint()
-                self._journal.close()
-            if self._fh is not None:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self._fh.close()
-                self._fh = None
-            self._closed = True
+        if self._closed:
+            return
+        if self._journal is not None:
+            self.checkpoint()
+            self._journal.close()
+        if self._fh is not None:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+            self._fh.close()
+            self._fh = None
+        self._closed = True
 
     def crash(self) -> None:
         """Simulate a power loss: abandon state without flush paths.
@@ -225,19 +206,18 @@ class PagedFile:
         reach it (they live in the overlay until checkpoint).  See
         DESIGN.md §12.
         """
-        with self._io_lock:
-            if self._closed:
-                return
-            if self._journal is not None:
-                self._journal.simulate_power_loss()
-            if self._fh is not None:
-                self._fh.flush()
-                self._fh.close()
-                self._fh = None
-            self._overlay.clear()
-            self._mem.clear()
-            self._crcs.clear()
-            self._closed = True
+        if self._closed:
+            return
+        if self._journal is not None:
+            self._journal.simulate_power_loss()
+        if self._fh is not None:
+            self._fh.flush()
+            self._fh.close()
+            self._fh = None
+        self._overlay.clear()
+        self._mem.clear()
+        self._crcs.clear()
+        self._closed = True
 
     def __enter__(self) -> "PagedFile":
         return self
@@ -272,8 +252,7 @@ class PagedFile:
         Prefer :meth:`FaultInjector.install`, which also tracks the file
         for a later bulk ``uninstall``.
         """
-        with self._io_lock:
-            self._faults = injector
+        self._faults = injector
 
     def charge_delay_ms(self, ms: float) -> None:
         """Charge extra simulated latency (fault spikes, retry backoff).
@@ -284,9 +263,8 @@ class PagedFile:
         """
         if ms < 0:
             raise StorageError(f"{self.name}: negative delay {ms}")
-        with self._io_lock:
-            self.stats.simulated_ms += ms
-            self._m_ms.inc(ms)
+        self.stats.simulated_ms += ms
+        self._m_ms.inc(ms)
 
     # -- allocation ------------------------------------------------------------
 
@@ -314,14 +292,13 @@ class PagedFile:
         """Allocate ``count`` consecutive pages; returns the first id."""
         if count < 1:
             raise StorageError(f"count must be >= 1, got {count}")
-        with self._io_lock:
-            self._check_open()
-            first = self._num_pages
-            self._num_pages += count
-            if self._fh is not None:
-                self._fh.truncate(
-                    self._num_pages * self._physical_page_size)
-            return first
+        self._check_open()
+        first = self._num_pages
+        self._num_pages += count
+        if self._fh is not None:
+            self._fh.truncate(
+                self._num_pages * self._physical_page_size)
+        return first
 
     # -- access ------------------------------------------------------------
 
@@ -369,41 +346,40 @@ class PagedFile:
         real I/O still pays the seek, and both ledgers must count every
         attempt or the retry layer would make I/O look free.
         """
-        with self._io_lock:
-            self._check_open()
-            self._validate(page_id)
-            self._charge(page_id, write=False)
-            if self._faults is not None:
-                self._faults.before_read(self, page_id)
-            overlay = self._overlay.get(page_id)
-            if overlay is not None:
-                # Journaled write not yet checkpointed: the overlay is
-                # the page's current image; the data file is stale.
-                data, crc = overlay
-                if self._faults is not None:
-                    data = self._faults.filter_read(self, page_id, data)
-                if zlib.crc32(data) != crc:
-                    raise self._corrupt(page_id, "CRC mismatch")
-                return data
-            if self._fh is None:
-                stored = self._mem.get(page_id)
-                # Allocated but never written: lazily materialise zeros.
-                data = (stored if stored is not None
-                        else bytes(self.page_size))
-                if self._faults is not None:
-                    data = self._faults.filter_read(self, page_id, data)
-                    self._verify_mem(page_id, data)
-                return data
-            self._fh.seek(page_id * self._physical_page_size)
-            raw = self._fh.read(self._physical_page_size)
-            if len(raw) != self._physical_page_size:
-                raise self._corrupt(page_id, "short read")
-            data = raw[:self.page_size]
-            trailer = raw[self.page_size:]
+        self._check_open()
+        self._validate(page_id)
+        self._charge(page_id, write=False)
+        if self._faults is not None:
+            self._faults.before_read(self, page_id)
+        overlay = self._overlay.get(page_id)
+        if overlay is not None:
+            # Journaled write not yet checkpointed: the overlay is
+            # the page's current image; the data file is stale.
+            data, crc = overlay
             if self._faults is not None:
                 data = self._faults.filter_read(self, page_id, data)
-            self._verify_disk(page_id, data, trailer)
+            if zlib.crc32(data) != crc:
+                raise self._corrupt(page_id, "CRC mismatch")
             return data
+        if self._fh is None:
+            stored = self._mem.get(page_id)
+            # Allocated but never written: lazily materialise zeros.
+            data = (stored if stored is not None
+                    else bytes(self.page_size))
+            if self._faults is not None:
+                data = self._faults.filter_read(self, page_id, data)
+                self._verify_mem(page_id, data)
+            return data
+        self._fh.seek(page_id * self._physical_page_size)
+        raw = self._fh.read(self._physical_page_size)
+        if len(raw) != self._physical_page_size:
+            raise self._corrupt(page_id, "short read")
+        data = raw[:self.page_size]
+        trailer = raw[self.page_size:]
+        if self._faults is not None:
+            data = self._faults.filter_read(self, page_id, data)
+        self._verify_disk(page_id, data, trailer)
+        return data
 
     def _corrupt(self, page_id: int, why: str) -> PageCorruptError:
         """Count and build (not raise) a corruption error."""
@@ -443,36 +419,35 @@ class PagedFile:
         reach the backend — which is exactly how a torn write becomes a
         detectable CRC mismatch on the next read.
         """
-        with self._io_lock:
-            self._check_open()
-            self._validate(page_id)
-            if len(data) > self.page_size:
-                raise StorageError(
-                    f"{self.name}: payload {len(data)} exceeds page size")
-            if len(data) < self.page_size:
-                data = data + bytes(self.page_size - len(data))
-            self._charge(page_id, write=True)
-            crc = zlib.crc32(data)
-            if self._faults is not None:
-                self._faults.before_write(self, page_id)
-                data = self._faults.filter_write(self, page_id, data)
-            if self._journal is not None:
-                # WAL-before-data: the image reaches the journal now and
-                # the data file only at checkpoint, after a commit
-                # marker proved it durable — so every data page is
-                # always either its pre-crash or post-commit image.
-                self._journal.append_page_image(page_id, data, crc,
-                                                faults=self._faults)
-                self._overlay[page_id] = (bytes(data), crc)
-                return
-            self._backend_write(page_id, data, crc)
+        self._check_open()
+        self._validate(page_id)
+        if len(data) > self.page_size:
+            raise StorageError(
+                f"{self.name}: payload {len(data)} exceeds page size")
+        if len(data) < self.page_size:
+            data = data + bytes(self.page_size - len(data))
+        self._charge(page_id, write=True)
+        crc = zlib.crc32(data)
+        if self._faults is not None:
+            self._faults.before_write(self, page_id)
+            data = self._faults.filter_write(self, page_id, data)
+        if self._journal is not None:
+            # WAL-before-data: the image reaches the journal now and
+            # the data file only at checkpoint, after a commit
+            # marker proved it durable — so every data page is
+            # always either its pre-crash or post-commit image.
+            self._journal.append_page_image(page_id, data, crc,
+                                            faults=self._faults)
+            self._overlay[page_id] = (bytes(data), crc)
+            return
+        self._backend_write(page_id, data, crc)
 
     def _backend_write(self, page_id: int, data: bytes, crc: int) -> None:
         """Raw backend write: no charging, no faults, no journal.
 
         Extends the file when replay targets a page past the current
         end (an allocation whose pages were journaled but whose extent
-        was lost).  Callers hold ``_io_lock``.
+        was lost).
         """
         if page_id >= self._num_pages:
             self._num_pages = page_id + 1
@@ -503,17 +478,16 @@ class PagedFile:
         empty markers, no wasted fsync).  The data file is untouched —
         durability lives in the journal until :meth:`checkpoint`.
         """
-        with self._io_lock:
-            self._check_open()
-            journal = self._require_journal()
-            if journal.uncommitted_records == 0:
-                return
-            if self._faults is not None:
-                self._faults.crash_point(f"journal-commit:{self.name}")
-            journal.append_commit_marker()
-            if self._faults is not None:
-                self._faults.crash_point(f"journal-sync:{self.name}")
-            journal.sync()
+        self._check_open()
+        journal = self._require_journal()
+        if journal.uncommitted_records == 0:
+            return
+        if self._faults is not None:
+            self._faults.crash_point(f"journal-commit:{self.name}")
+        journal.append_commit_marker()
+        if self._faults is not None:
+            self._faults.crash_point(f"journal-sync:{self.name}")
+        journal.sync()
 
     def checkpoint(self) -> None:
         """Commit, copy overlay images into the data file, reset the WAL.
@@ -525,43 +499,40 @@ class PagedFile:
         model — they are the WAL's write amplification, and hiding them
         would skew ``repro profile``'s reconciliation.
         """
-        with self._io_lock:
-            self._check_open()
-            journal = self._require_journal()
-            self.commit()
-            if not self._overlay and not journal.has_entries:
-                return
-            for page_id in sorted(self._overlay):
-                data, crc = self._overlay[page_id]
-                self._charge(page_id, write=True)
-                if self._faults is not None:
-                    self._faults.crash_point(
-                        f"checkpoint-write:{self.name}:{page_id}")
-                self._backend_write(page_id, data, crc)
+        self._check_open()
+        journal = self._require_journal()
+        self.commit()
+        if not self._overlay and not journal.has_entries:
+            return
+        for page_id in sorted(self._overlay):
+            data, crc = self._overlay[page_id]
+            self._charge(page_id, write=True)
             if self._faults is not None:
-                self._faults.crash_point(f"data-sync:{self.name}")
-            if self._fh is not None:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            if self._faults is not None:
-                self._faults.crash_point(f"journal-reset:{self.name}")
-            journal.reset()
-            self._overlay.clear()
+                self._faults.crash_point(
+                    f"checkpoint-write:{self.name}:{page_id}")
+            self._backend_write(page_id, data, crc)
+        if self._faults is not None:
+            self._faults.crash_point(f"data-sync:{self.name}")
+        if self._fh is not None:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+        if self._faults is not None:
+            self._faults.crash_point(f"journal-reset:{self.name}")
+        journal.reset()
+        self._overlay.clear()
 
     def replay_page(self, page_id: int, data: bytes, crc: int) -> None:
         """Apply one committed journal image (recovery only; charged)."""
-        with self._io_lock:
-            self._check_open()
-            self._charge(page_id, write=True)
-            self._backend_write(page_id, data, crc)
+        self._check_open()
+        self._charge(page_id, write=True)
+        self._backend_write(page_id, data, crc)
 
     def sync_data(self) -> None:
         """Flush and fsync the data file (recovery's durability barrier)."""
-        with self._io_lock:
-            self._check_open()
-            if self._fh is not None:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
+        self._check_open()
+        if self._fh is not None:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
 
     def append_page(self, data: bytes) -> int:
         """Allocate and write in one step; returns the new page id."""
@@ -585,10 +556,7 @@ class PagedFile:
         Experiments call this between queries so each query pays a cold
         first seek, matching the paper's uncached measurement setup.
         """
-        # _last_accessed is _io_lock-guarded state (_charge mutates it on
-        # every access); resetting it unlocked raced concurrent reads.
-        with self._io_lock:
-            self._last_accessed = None
+        self._last_accessed = None
 
     def __repr__(self) -> str:
         kind = "file" if self._fh is not None else "mem"

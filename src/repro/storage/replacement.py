@@ -1,10 +1,8 @@
 """Pluggable page-replacement policies for the buffer pool.
 
-The pool owns the frame table, pins, latches, and all locking; a policy
-owns only the *ordering* decision — which resident key should be evicted
-next.  The split keeps policies trivially lattice-clean: a policy is
-called exclusively with the pool lock held, holds no lock of its own,
-and never calls back into the pool or a file.
+The pool owns the frame table and pins; a policy owns only the
+*ordering* decision — which resident key should be evicted next — and
+never calls back into the pool or a file.
 
 Two policies ship:
 
@@ -43,7 +41,7 @@ POLICY_NAMES: Tuple[str, ...] = ("lru", "2q")
 
 
 class ReplacementPolicy:
-    """Eviction-order strategy; all methods run under the pool lock."""
+    """Eviction-order strategy; only the owning pool calls it."""
 
     #: Human-readable policy name (echoed into serve reports).
     name: str = "base"

@@ -1,4 +1,4 @@
-"""Tests for the ``repro lint`` rule suite (RPR001-RPR014).
+"""Tests for the ``repro lint`` rule suite (RPR001-RPR009, RPR013-RPR015).
 
 Every registered rule must have at least one *triggering* and one
 *non-triggering* fixture here — ``test_every_rule_has_fixtures`` fails
@@ -24,8 +24,8 @@ from repro.errors import AnalysisError
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 ALL_CODES = {"RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-             "RPR006", "RPR007", "RPR008", "RPR009", "RPR010",
-             "RPR011", "RPR012", "RPR013", "RPR014"}
+             "RPR006", "RPR007", "RPR008", "RPR009", "RPR013",
+             "RPR014", "RPR015"}
 
 
 def write_module(root: Path, relpath: str, source: str) -> Path:
@@ -242,123 +242,6 @@ FIXTURES = {
                 """),
         ],
     },
-    "RPR010": {
-        # A pagedfile-level class acquiring a bufferpool-level lock
-        # while holding its own climbs the lattice — the deadlock shape
-        # the witness would catch at runtime.
-        "bad": [("locks.py", """
-            import threading
-
-            class Pool:
-                LOCK_LEVEL = "bufferpool"
-
-                def __init__(self):
-                    self._lock = threading.RLock()
-
-                def touch(self):
-                    with self._lock:
-                        pass
-
-            class File:
-                LOCK_LEVEL = "pagedfile"
-
-                def __init__(self, pool):
-                    self._lock = threading.RLock()
-                    self._pool: "Pool" = pool
-
-                def climb(self):
-                    with self._lock:
-                        self._pool.touch()
-            """)],
-        # The sanctioned direction: pool write-back into the file.
-        "good": [("locks.py", """
-            import threading
-
-            class File:
-                LOCK_LEVEL = "pagedfile"
-
-                def __init__(self):
-                    self._lock = threading.RLock()
-
-                def touch(self):
-                    with self._lock:
-                        pass
-
-            class Pool:
-                LOCK_LEVEL = "bufferpool"
-
-                def __init__(self, file):
-                    self._lock = threading.RLock()
-                    self._file: "File" = file
-
-                def writeback(self):
-                    with self._lock:
-                        self._file.touch()
-            """)],
-    },
-    "RPR011": {
-        # The seed bug shape: reset() clears lock-guarded state bare.
-        "bad": [("tracker.py", """
-            import threading
-
-            class Tracker:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._count = 0
-
-                def bump(self):
-                    with self._lock:
-                        self._count += 1
-
-                def reset(self):
-                    self._count = 0
-            """)],
-        "good": [("tracker.py", """
-            import threading
-
-            class Tracker:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._count = 0
-
-                def bump(self):
-                    with self._lock:
-                        self._count += 1
-
-                def reset(self):
-                    with self._lock:
-                        self._count = 0
-            """)],
-    },
-    "RPR012": {
-        "bad": [("sink.py", """
-            import os
-            import threading
-
-            class Sink:
-                def __init__(self, fd):
-                    self._lock = threading.Lock()
-                    self._fd = fd
-
-                def persist(self):
-                    with self._lock:
-                        os.fsync(self._fd)
-            """)],
-        "good": [("sink.py", """
-            import os
-            import threading
-
-            class Sink:
-                def __init__(self, fd):
-                    self._lock = threading.Lock()
-                    self._fd = fd
-
-                def persist(self):
-                    with self._lock:
-                        fd = self._fd
-                    os.fsync(fd)
-            """)],
-    },
     "RPR013": {
         "bad": [("reporter.py", """
             DETERMINISTIC_REPORT = True
@@ -401,6 +284,24 @@ FIXTURES = {
                     return encode_vpage(entries, page_size)
                 """),
         ],
+    },
+    "RPR015": {
+        # The serving scheduler's old fidelity fan-out, verbatim shape.
+        "bad": [("repro/serving/scheduler.py", """
+            from concurrent.futures import ThreadPoolExecutor
+
+            def score_all(thunks, workers):
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    return list(pool.map(lambda t: t(), thunks))
+            """)],
+        # Process-level parallelism shares no in-process state.
+        "good": [("repro/visibility/precompute.py", """
+            from concurrent.futures import ProcessPoolExecutor
+
+            def shard_all(shards, workers, run_shard):
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    return list(pool.map(run_shard, shards))
+            """)],
     },
 }
 
@@ -587,157 +488,6 @@ def test_rpr009_ignores_non_clock_time_attrs(tmp_path):
     assert "RPR009" not in codes
 
 
-def test_rpr010_unleveled_cycle_flagged(tmp_path):
-    # Neither class declares a level, so the lattice check is blind —
-    # the SCC detector still sees the A -> B -> A deadlock shape.
-    codes = lint_codes(tmp_path, [("cycle.py", """
-        import threading
-
-        class Alpha:
-            def __init__(self, beta):
-                self._lock = threading.RLock()
-                self._beta: "Beta" = beta
-
-            def poke(self):
-                with self._lock:
-                    pass
-
-            def cross(self):
-                with self._lock:
-                    self._beta.poke()
-
-        class Beta:
-            def __init__(self, alpha):
-                self._lock = threading.RLock()
-                self._alpha: "Alpha" = alpha
-
-            def poke(self):
-                with self._lock:
-                    pass
-
-            def cross(self):
-                with self._lock:
-                    self._alpha.poke()
-        """)])
-    assert "RPR010" in codes
-
-
-def test_rpr010_same_class_reentrancy_ok(tmp_path):
-    codes = lint_codes(tmp_path, [("reentrant.py", """
-        import threading
-
-        class Pool:
-            LOCK_LEVEL = "bufferpool"
-
-            def __init__(self):
-                self._lock = threading.RLock()
-
-            def inner(self):
-                with self._lock:
-                    pass
-
-            def outer(self):
-                with self._lock:
-                    self.inner()
-        """)])
-    assert "RPR010" not in codes
-
-
-def test_rpr010_bogus_level_flagged(tmp_path):
-    codes = lint_codes(tmp_path, [("bogus.py", """
-        import threading
-
-        class Pool:
-            LOCK_LEVEL = "not-a-level"
-
-            def __init__(self):
-                self._lock = threading.Lock()
-        """)])
-    assert "RPR010" in codes
-
-
-def test_rpr010_same_level_acquisition_flagged(tmp_path):
-    # Two distinct classes at the same level: neither may acquire the
-    # other's lock while holding its own (strict descent only).
-    codes = lint_codes(tmp_path, [("peers.py", """
-        import threading
-
-        class LeftPool:
-            LOCK_LEVEL = "bufferpool"
-
-            def __init__(self, peer):
-                self._lock = threading.RLock()
-                self._peer: "RightPool" = peer
-
-            def steal(self):
-                with self._lock:
-                    self._peer.poke()
-
-        class RightPool:
-            LOCK_LEVEL = "bufferpool"
-
-            def __init__(self):
-                self._lock = threading.RLock()
-
-            def poke(self):
-                with self._lock:
-                    pass
-        """)])
-    assert "RPR010" in codes
-
-
-def test_rpr011_init_is_exempt(tmp_path):
-    # Construction happens before the object is shared; only the
-    # post-construction bare write is the race.
-    codes = lint_codes(tmp_path, FIXTURES["RPR011"]["good"])
-    assert "RPR011" not in codes
-
-
-def test_rpr011_locked_helper_counts_as_guarded(tmp_path):
-    # _apply only ever runs under the lock (its sole caller holds it),
-    # so its writes are guarded — and the bare write in reset() is not.
-    codes = lint_codes(tmp_path, [("tracker.py", """
-        import threading
-
-        class Tracker:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self._count = 0
-
-            def bump(self):
-                with self._lock:
-                    self._apply()
-
-            def _apply(self):
-                self._count += 1
-
-            def reset(self):
-                self._count = 0
-        """)])
-    assert codes.count("RPR011") == 1
-
-
-def test_rpr012_blocking_allowed_level_exempt(tmp_path):
-    # A pagedfile-level lock exists to serialize physical I/O; blocking
-    # under it is its job, not a violation.
-    codes = lint_codes(tmp_path, [("sink.py", """
-        import os
-        import threading
-
-        class FileLike:
-            LOCK_LEVEL = "pagedfile"
-
-            def __init__(self, fd):
-                self._lock = threading.Lock()
-                self._fd = fd
-
-            def persist(self):
-                with self._lock:
-                    os.fsync(self._fd)
-        """)])
-    assert "RPR012" not in codes
-
-
 def test_rpr013_unmarked_module_exempt(tmp_path):
     # The same unordered iteration outside a byte-deterministic module
     # is nobody's business.
@@ -786,6 +536,39 @@ def test_rpr014_serializer_module_is_exempt(tmp_path):
 
 
 # -- driver: file collection, RPR000, pragmas, baseline, CLI ----------------
+
+
+def test_rpr015_flags_executor_hops(tmp_path):
+    codes = lint_codes(tmp_path, [("repro/serving/http/server.py", """
+        import asyncio
+        import threading
+
+        async def offload(loop, fn):
+            await loop.run_in_executor(None, fn)
+            await asyncio.to_thread(fn)
+
+        def spawn(fn):
+            threading.Thread(target=fn).start()
+        """)])
+    assert codes.count("RPR015") == 3
+
+
+def test_rpr015_flags_aliased_imports(tmp_path):
+    codes = lint_codes(tmp_path, [("repro/obs/poller.py", """
+        from asyncio import to_thread
+        from threading import Thread as Worker
+        """)])
+    assert codes.count("RPR015") == 2
+
+
+def test_rpr015_is_scoped_to_the_repro_package(tmp_path):
+    codes = lint_codes(tmp_path, [("scripts/hammer.py", """
+        import threading
+
+        def spawn(fn):
+            threading.Thread(target=fn).start()
+        """)])
+    assert "RPR015" not in codes
 
 
 def test_iter_python_files_dedupes_symlinked_dirs(tmp_path):

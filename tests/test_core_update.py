@@ -123,3 +123,26 @@ def test_remove_requires_indexed_vertical(small_scene, small_grid):
         HDoVConfig(dov_resolution=8, schemes=("vertical",)))
     with pytest.raises(HDoVError):
         remove_object(env, 0, scheme_name="vertical")
+
+
+def test_nodes_created_by_removal_get_internal_lods():
+    """Regression: condense-tree reinsertion split a node, and the new
+    node had no internal-LoD record, so querying a cell that accepted
+    it raised ``HDoVError: no internal LoD for node N``.  This seeded
+    sequence of 21 removals on the default small environment hit it."""
+    import numpy as np
+
+    from repro.experiments.config import get_scale
+
+    experiment = get_scale("small")
+    scene = generate_city(experiment.city)
+    grid = CellGrid.covering(scene.bounds(), experiment.cell_size)
+    env = build_environment(scene, grid)
+    order = np.random.default_rng([13, 4]).permutation(sorted(env.objects))
+    for victim in order[:21]:
+        remove_object(env, int(victim))
+    assert {node.node_offset for node in env.tree.iter_nodes_dfs()} \
+        <= set(env.internals)
+    search = HDoVSearch(env, "indexed-vertical")
+    for cell_id in env.grid.cell_ids():
+        search.query_cell(cell_id, eta=0.001)

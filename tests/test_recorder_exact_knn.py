@@ -1,15 +1,12 @@
-"""Session recorder, mesh-exact DoV validator, and kNN queries."""
+"""Session recorder and mesh-exact DoV validator."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.errors import RTreeError, VisibilityError, WalkthroughError
-from repro.geometry.aabb import AABB, pack_aabbs
+from repro.errors import VisibilityError, WalkthroughError
+from repro.geometry.aabb import pack_aabbs
 from repro.geometry.primitives import box_mesh, icosphere
-from repro.rtree.knn import knn_query, nearest_object
-from repro.rtree.tree import RTree
 from repro.visibility.exact import MeshDoVEstimator
 from repro.visibility.raycast import RayCastDoVEstimator
 from repro.walkthrough.recorder import (load_session, save_session,
@@ -125,46 +122,3 @@ def test_exact_estimator_validation():
         MeshDoVEstimator([])
     with pytest.raises(VisibilityError):
         MeshDoVEstimator([box_mesh((0, 0, 0), (1, 1, 1))], object_ids=[1, 2])
-
-
-# -- kNN -------------------------------------------------------------------
-
-def make_tree(positions):
-    tree = RTree(max_entries=4)
-    for i, pos in enumerate(positions):
-        tree.insert(AABB.from_center_extent(pos, (1, 1, 1)), i)
-    return tree
-
-
-def test_knn_orders_by_distance():
-    positions = [(10, 0, 0), (20, 0, 0), (5, 0, 0), (40, 0, 0)]
-    tree = make_tree(positions)
-    result = knn_query(tree, (0, 0, 0), 3)
-    assert [oid for oid, _d in result] == [2, 0, 1]
-    distances = [d for _oid, d in result]
-    assert distances == sorted(distances)
-    assert distances[0] == pytest.approx(4.5)   # box half-extent 0.5
-
-
-def test_knn_matches_brute_force():
-    rng = np.random.default_rng(3)
-    positions = [tuple(rng.uniform(-50, 50, 3)) for _ in range(80)]
-    tree = make_tree(positions)
-    point = (5.0, -3.0, 2.0)
-    result = knn_query(tree, point, 10)
-    boxes = [AABB.from_center_extent(p, (1, 1, 1)) for p in positions]
-    brute = sorted(range(80),
-                   key=lambda i: boxes[i].min_distance_to_point(point))
-    assert [oid for oid, _d in result] == brute[:10]
-
-
-def test_knn_k_larger_than_tree():
-    tree = make_tree([(0, 0, 0), (5, 0, 0)])
-    assert len(knn_query(tree, (0, 0, 0), 10)) == 2
-
-
-def test_knn_validation():
-    tree = make_tree([(0, 0, 0)])
-    with pytest.raises(RTreeError):
-        knn_query(tree, (0, 0, 0), 0)
-    assert nearest_object(tree, (9, 0, 0))[0] == 0

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.concurrency import LockOrderWitness, installed
 from repro.errors import BufferPoolError, BufferPoolExhaustedError
 from repro.serving import run_serve
 from repro.storage.buffer import BufferPool
@@ -116,25 +115,23 @@ def test_twoq_scan_resistance(pfile):
     assert not lru.contains(pfile, 0)
 
 
-def test_pathological_pinned_capacity_under_witness():
-    """Pool smaller than the pinned working set: typed exhaustion, no
-    deadlock, and every acquisition clean under the lock-order witness."""
-    with installed(LockOrderWitness()) as witness:
-        pf = PagedFile("pin", page_size=64, disk=DiskModel(),
-                       stats=IOStats())
-        for i in range(4):
-            pf.append_page(bytes([i]) * 8)
-        pool = BufferPool(capacity=2, policy="2q")
-        pool.get(pf, 0, pin=True)
-        pool.get(pf, 1, pin=True)
-        with pytest.raises(BufferPoolExhaustedError):
-            pool.get(pf, 2)
-        # Speculation is best-effort: a fully pinned pool declines
-        # instead of raising.
-        assert pool.prefetch(pf, 3) is False
-        pool.unpin(pf, 0)
-        pool.unpin(pf, 1)
-    assert witness.violations() == []
+def test_pathological_pinned_capacity():
+    """Pool smaller than the pinned working set: typed exhaustion, and
+    the pinned frames survive the failed fault."""
+    pf = PagedFile("pin", page_size=64, disk=DiskModel(), stats=IOStats())
+    for i in range(4):
+        pf.append_page(bytes([i]) * 8)
+    pool = BufferPool(capacity=2, policy="2q")
+    pool.get(pf, 0, pin=True)
+    pool.get(pf, 1, pin=True)
+    with pytest.raises(BufferPoolExhaustedError):
+        pool.get(pf, 2)
+    # Speculation is best-effort: a fully pinned pool declines
+    # instead of raising.
+    assert pool.prefetch(pf, 3) is False
+    assert pool.contains(pf, 0) and pool.contains(pf, 1)
+    pool.unpin(pf, 0)
+    pool.unpin(pf, 1)
 
 
 def test_prefetch_counters_are_not_demand_counters(pfile):
@@ -187,7 +184,7 @@ def canonical(report):
 def test_policy_swap_is_noop_at_infinite_capacity():
     """With no eviction pressure the policies cannot diverge: the two
     reports must be byte-identical once the policy labels are popped."""
-    reports = [run_serve(sessions=3, workers=1, seed=7, frames=6,
+    reports = [run_serve(sessions=3, seed=7, frames=6,
                          pool_pages=4096, policy=policy,
                          include_frame_times=False)
                for policy in ("lru", "2q")]
@@ -197,7 +194,7 @@ def test_policy_swap_is_noop_at_infinite_capacity():
 
 
 def test_serve_with_prefetch_reconciles_exactly():
-    report = run_serve(sessions=6, workers=2, seed=7, frames=12,
+    report = run_serve(sessions=6, seed=7, frames=12,
                        pool_pages=28, policy="2q", prefetch=True,
                        include_frame_times=False)
     assert report["outcome"]["completed"] is True
@@ -224,9 +221,9 @@ def test_serve_with_prefetch_reconciles_exactly():
 
 
 def test_prefetch_off_by_default_keeps_reports_identical():
-    baseline = run_serve(sessions=2, workers=1, seed=7, frames=6,
+    baseline = run_serve(sessions=2, seed=7, frames=6,
                          include_frame_times=False)
-    explicit = run_serve(sessions=2, workers=1, seed=7, frames=6,
+    explicit = run_serve(sessions=2, seed=7, frames=6,
                          policy="lru", prefetch=False,
                          include_frame_times=False)
     assert baseline["serve"]["prefetch"] is False

@@ -1,14 +1,15 @@
 """Multi-session serving tests: determinism, attribution, degradation.
 
-The PR 5 acceptance bar: ``repro serve`` run twice with the same seed
-and worker count yields byte-identical reports; the worker count never
-changes a byte; a single unpooled session matches the sequential
-``VisualSystem`` path exactly; the shared pool's hit rate grows with
+The acceptance bar: ``repro serve`` run twice with the same seed yields
+byte-identical reports; a single unpooled session matches the sequential
+``VisualSystem`` path exactly; per-session I/O reconciles with the
+shared ledgers on every integer ``IOStats`` field; the shared pool's hit rate grows with
 the session count; and overload/admission/fault pressure degrades
 service instead of deadlocking it.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from repro.experiments.config import get_scale
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.scene.city import generate_city
 from repro.serving import run_serve
+from repro.serving.service import _reconcile
+from repro.storage.disk import IOStats
 from repro.visibility.cells import CellGrid
 from repro.walkthrough.session import make_session
 from repro.walkthrough.visual import VisualSystem
@@ -28,23 +31,13 @@ from repro.walkthrough.visual import VisualSystem
 @pytest.fixture(scope="module")
 def serve_report():
     """One canonical run shared by the read-only assertions."""
-    return run_serve(sessions=8, workers=4, seed=7, frames=12)
+    return run_serve(sessions=8, seed=7, frames=12)
 
 
 def test_serve_same_seed_byte_identical(serve_report):
-    again = run_serve(sessions=8, workers=4, seed=7, frames=12)
+    again = run_serve(sessions=8, seed=7, frames=12)
     assert json.dumps(serve_report, sort_keys=False) \
         == json.dumps(again, sort_keys=False)
-
-
-def test_serve_report_independent_of_worker_count(serve_report):
-    solo = run_serve(sessions=8, workers=1, seed=7, frames=12)
-    # The worker count is echoed in the config block but provably
-    # cannot change any other byte of the report.
-    assert solo["serve"]["workers"] == 1
-    solo["serve"]["workers"] = serve_report["serve"]["workers"]
-    assert json.dumps(solo, sort_keys=False) \
-        == json.dumps(serve_report, sort_keys=False)
 
 
 def test_serve_reconciliation_balances(serve_report):
@@ -53,6 +46,32 @@ def test_serve_reconciliation_balances(serve_report):
     assert reconciliation["heavy_ios_balanced"] is True
     assert reconciliation["simulated_ms_balanced"] is True
     assert reconciliation["pool_balanced"] is True
+
+
+def _ledger(**counts):
+    return IOStats(reads=6, seeks=4, back_seeks=1, forward_seeks=3,
+                   sequential_reads=2, bytes_read=6 * 4096,
+                   simulated_ms=33.0, **counts)
+
+
+def test_reconcile_checks_every_integer_field():
+    """Moving one back seek to the forward column leaves reads, seeks
+    and bytes balanced, yet the direction split no longer matches the
+    shared ledger — the flag must say so, on both ledgers."""
+    session = SimpleNamespace(light_total=_ledger(), heavy_total=_ledger(),
+                              pool_hits=0, pool_misses=0)
+    env = SimpleNamespace(light_stats=_ledger(), heavy_stats=_ledger())
+    balanced = _reconcile(env, [session], pool=None)
+    assert balanced["light_ios_balanced"] is True
+    assert balanced["heavy_ios_balanced"] is True
+
+    for ledger in (session.light_total, session.heavy_total):
+        ledger.back_seeks -= 1
+        ledger.forward_seeks += 1
+    shifted = _reconcile(env, [session], pool=None)
+    assert shifted["light_ios_balanced"] is False
+    assert shifted["heavy_ios_balanced"] is False
+    assert shifted["simulated_ms_balanced"] is True
 
 
 def test_serve_report_shape(serve_report):
@@ -72,14 +91,14 @@ def test_serve_report_shape(serve_report):
 
 
 def test_serve_shared_pool_hit_rate_grows_with_sessions(serve_report):
-    solo = run_serve(sessions=1, workers=1, seed=7, frames=12)
+    solo = run_serve(sessions=1, seed=7, frames=12)
     assert serve_report["pool"]["hit_rate"] > solo["pool"]["hit_rate"]
 
 
 def test_serve_unpooled_single_session_matches_sequential_path():
-    """sessions=1, workers=1, pool off == the VisualSystem replay."""
+    """sessions=1, pool off == the VisualSystem replay."""
     frames = 12
-    served = run_serve(sessions=1, workers=1, seed=7, frames=frames,
+    served = run_serve(sessions=1, seed=7, frames=frames,
                        pool_pages=0)
     assert served["pool"] is None
 
@@ -110,7 +129,7 @@ def test_serve_unpooled_single_session_matches_sequential_path():
 
 
 def test_serve_overload_sheds_to_degraded_frames():
-    report = run_serve(sessions=2, workers=1, seed=7, frames=12,
+    report = run_serve(sessions=2, seed=7, frames=12,
                        frame_budget_ms=10.0)
     assert report["outcome"]["completed"] is True
     shed = [s["overload_degraded"] for s in report["sessions"]]
@@ -122,7 +141,7 @@ def test_serve_overload_sheds_to_degraded_frames():
 
 
 def test_serve_admission_control_limits_concurrency():
-    report = run_serve(sessions=4, workers=1, seed=7, frames=6,
+    report = run_serve(sessions=4, seed=7, frames=6,
                        max_active=2)
     assert report["outcome"]["completed"] is True
     assert report["serve"]["max_active"] == 2
@@ -136,7 +155,7 @@ def test_serve_admission_control_limits_concurrency():
 
 
 def test_serve_under_faults_degrades_not_deadlocks():
-    report = run_serve(sessions=4, workers=2, seed=7, frames=12,
+    report = run_serve(sessions=4, seed=7, frames=12,
                        plan="aggressive", fault_seed=3)
     assert report["outcome"]["completed"] is True
     assert report["faults"]["total_injected"] > 0
@@ -151,8 +170,6 @@ def test_serve_rejects_bad_arguments():
     with pytest.raises(WalkthroughError):
         run_serve(sessions=0)
     with pytest.raises(WalkthroughError):
-        run_serve(sessions=1, workers=0)
-    with pytest.raises(WalkthroughError):
         run_serve(sessions=1, max_active=0)
     with pytest.raises(WalkthroughError):
         run_serve(sessions=1, frame_budget_ms=0.0)
@@ -163,8 +180,7 @@ def test_serve_rejects_bad_arguments():
 def test_serve_cli_writes_deterministic_report(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    base = ["serve", "--sessions", "3", "--workers", "2", "--seed", "7",
-            "--frames", "6"]
+    base = ["serve", "--sessions", "3", "--seed", "7", "--frames", "6"]
     assert main(base + ["--output", str(first)]) == 0
     assert main(base + ["--output", str(second)]) == 0
     capsys.readouterr()
@@ -209,7 +225,7 @@ def test_scheduler_zeroes_active_gauge_after_run():
 
     with use_registry(MetricsRegistry()) as registry:
         sessions = [_StubSession(i, frames=2 + i) for i in range(3)]
-        scheduler = SessionScheduler(sessions, workers=1)
+        scheduler = SessionScheduler(sessions)
         scheduler.run()
         assert scheduler.frames_served == sum(2 + i for i in range(3))
         assert registry.value(names.SERVING_ACTIVE_SESSIONS) == 0.0
@@ -225,8 +241,7 @@ def test_scheduler_zeroes_active_gauge_on_error():
             raise ReproError("boom")
 
     with use_registry(MetricsRegistry()) as registry:
-        scheduler = SessionScheduler([_ExplodingSession(0, frames=1)],
-                                     workers=1)
+        scheduler = SessionScheduler([_ExplodingSession(0, frames=1)])
         with pytest.raises(ReproError):
             scheduler.run()
         assert registry.value(names.SERVING_ACTIVE_SESSIONS) == 0.0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import BufferPoolError, BufferPoolExhaustedError
+from repro.errors import (BufferPoolError, BufferPoolExhaustedError,
+                          StorageError)
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel, IOStats
 from repro.storage.pagedfile import PagedFile
@@ -257,3 +258,35 @@ def test_pool_metrics_mirror_counters(pfile):
     assert delta['bufferpool_evictions_total{pool="test-mirror"}'] == 1
     assert delta['bufferpool_pins_total{pool="test-mirror"}'] == 1
     assert delta['bufferpool_unpins_total{pool="test-mirror"}'] == 1
+
+
+def test_exhausted_error_leaves_pinned_frames_intact(pfile):
+    """All frames pinned: the fault gets the typed error and no pinned
+    frame is evicted out from under its holder."""
+    pool = BufferPool(capacity=2)
+    pool.get(pfile, 0, pin=True)
+    pool.get(pfile, 1, pin=True)
+    with pytest.raises(BufferPoolExhaustedError):
+        pool.get(pfile, 2)
+    assert pool.contains(pfile, 0) and pool.contains(pfile, 1)
+    pool.unpin(pfile, 0)
+    pool.unpin(pfile, 1)
+    assert pool.get(pfile, 2) == (bytes([2]) * 8).ljust(64, b"\x00")
+
+
+def test_failed_read_installs_nothing_then_recovers(pfile):
+    """A miss whose read raises leaves no frame behind; the next get
+    reads the page again and succeeds."""
+    pool = BufferPool(capacity=8)
+    attempts = []
+
+    def failing_reader(pf: PagedFile, page_id: int) -> bytes:
+        attempts.append(page_id)
+        raise StorageError("injected read failure")
+
+    with pytest.raises(StorageError):
+        pool.get(pfile, 5, reader=failing_reader)
+    assert attempts == [5]
+    assert not pool.contains(pfile, 5)
+    assert pool.get(pfile, 5) == (bytes([5]) * 8).ljust(64, b"\x00")
+    assert pool.misses == 2      # the failed read and the retry

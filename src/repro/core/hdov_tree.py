@@ -147,6 +147,15 @@ class HDoVEnvironment:
                 f"scheme {name!r} not built; have {sorted(self.schemes)}"
             ) from None
 
+    def files(self) -> List[PagedFile]:
+        """Every paged file the environment charges I/O through."""
+        files = [self.node_store.pfile, self.object_store.pfile]
+        for scheme in self.schemes.values():
+            files.append(scheme.vpage_file)
+            if scheme.index_file is not None:
+                files.append(scheme.index_file)
+        return files
+
     def total_simulated_ms(self) -> float:
         return self.light_stats.simulated_ms + self.heavy_stats.simulated_ms
 

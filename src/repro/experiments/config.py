@@ -97,16 +97,35 @@ def get_scale(name: str) -> ExperimentScale:
         ) from None
 
 
+def build_scale_environment(scale: ExperimentScale, *,
+                            compress_vpages: bool = False,
+                            schemes: Optional[Sequence[str]] = None,
+                            ) -> HDoVEnvironment:
+    """Build a fresh, uncached environment for ``scale``.
+
+    ``schemes`` overrides which storage schemes are laid out;
+    ``compress_vpages`` opts into the packed delta V-page codec.
+    """
+    if schemes is not None:
+        scale = scale.with_schemes(schemes)
+    hdov = scale.hdov
+    if compress_vpages:
+        hdov = replace(hdov, compress_vpages=True)
+    scene = generate_city(scale.city)
+    grid = CellGrid.covering(scene.bounds(), scale.cell_size)
+    return build_environment(scene, grid, hdov)
+
+
 def build_experiment_environment(scale: ExperimentScale,
                                  schemes: Optional[Sequence[str]] = None,
                                  *, compress_vpages: bool = False,
                                  ) -> HDoVEnvironment:
     """Build (or fetch from cache) the environment for a scale.
 
-    ``schemes`` overrides which storage schemes are laid out;
-    ``compress_vpages`` opts into the packed delta V-page codec.  The
-    cache key includes both so Table 2 (all three schemes) and the
-    walkthroughs (one) — and compressed vs raw runs — do not collide.
+    The cache key includes the scheme list and the codec flag (see
+    :func:`build_scale_environment`) so Table 2 (all three schemes) and
+    the walkthroughs (one) — and compressed vs raw runs — do not
+    collide.
 
     Note for the layout rewriter: cached environments are *shared*;
     ``repro layout`` builds fresh, uncached environments because a
@@ -117,14 +136,8 @@ def build_experiment_environment(scale: ExperimentScale,
     key = (scale.name, scheme_key, compress_vpages)
     env = _ENV_CACHE.get(key)
     if env is None:
-        effective = scale.with_schemes(scheme_key)
-        if compress_vpages:
-            effective = replace(
-                effective,
-                hdov=replace(effective.hdov, compress_vpages=True))
-        scene = generate_city(effective.city)
-        grid = CellGrid.covering(scene.bounds(), effective.cell_size)
-        env = build_environment(scene, grid, effective.hdov)
+        env = build_scale_environment(scale, schemes=scheme_key,
+                                      compress_vpages=compress_vpages)
         _ENV_CACHE[key] = env
     env.reset_stats()
     return env

@@ -21,7 +21,7 @@ from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
 from repro.geometry.frustum import Camera
-from repro.rtree.cached import CachedNodeStore
+from repro.storage.buffer import BufferPool
 from repro.walkthrough.prefetch import CellPrefetcher
 from repro.walkthrough.session import make_session, street_viewpoints
 
@@ -198,8 +198,8 @@ def run_node_cache_sweep(scale: ExperimentScale = MEDIUM, *,
     original_store = env.node_store
     try:
         for capacity in capacities:
-            cached = CachedNodeStore(original_store, capacity)
-            env.node_store = cached       # type: ignore[assignment]
+            pool = BufferPool(capacity)
+            env.node_store = original_store.with_pool(pool)
             search = HDoVSearch(env, fetch_models=False)
             env.reset_stats()
             for point in viewpoints:
@@ -207,8 +207,8 @@ def run_node_cache_sweep(scale: ExperimentScale = MEDIUM, *,
                 search.query_point(point, eta)
             # Light stats here include V-page reads; isolate node reads
             # via the pool's miss count.
-            ios.append(cached.pool.misses / len(viewpoints))
-            hit_rates.append(cached.hit_rate)
+            ios.append(pool.misses / len(viewpoints))
+            hit_rates.append(pool.hit_rate)
     finally:
         env.node_store = original_store
     return NodeCacheResult(capacities=list(capacities),

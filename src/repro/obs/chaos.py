@@ -18,15 +18,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.core.hdov_tree import build_environment
 from repro.errors import ReproError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.profile import _environment_files
-from repro.scene.city import generate_city
 from repro.storage.faults import FaultInjector, named_plan
 from repro.storage.pagedfile import PagedFile
-from repro.visibility.cells import CellGrid
 from repro.walkthrough.session import make_session
 from repro.walkthrough.visual import VisualSystem, WalkthroughReport
 
@@ -78,23 +74,17 @@ def run_chaos(*, scale: str = "small", session: int = 1,
     """
     # Imported here: repro.experiments pulls in every experiment driver,
     # which the library layers must not depend on at import time.
-    from dataclasses import replace
-
-    from repro.experiments.config import get_scale
+    from repro.experiments.config import build_scale_environment, get_scale
 
     fault_plan = named_plan(plan)
     experiment = get_scale(scale)
-    hdov = experiment.hdov
-    if compress:
-        hdov = replace(hdov, compress_vpages=True)
     registry = MetricsRegistry()
     with use_registry(registry):
-        scene = generate_city(experiment.city)
-        grid = CellGrid.covering(scene.bounds(), experiment.cell_size)
-        env = build_environment(scene, grid, hdov)
+        env = build_scale_environment(experiment, compress_vpages=compress)
         num_frames = frames if frames is not None \
             else experiment.session_frames
-        path = make_session(session, scene.bounds(), num_frames=num_frames,
+        path = make_session(session, env.scene.bounds(),
+                            num_frames=num_frames,
                             street_pitch=experiment.city.pitch)
 
         # Clean replay first: the fidelity baseline, and — because it
@@ -111,7 +101,7 @@ def run_chaos(*, scale: str = "small", session: int = 1,
         active.reset_runtime_state()
         env.reset_stats()
 
-        files = _environment_files(env)
+        files = env.files()
         injector = FaultInjector(fault_plan, seed=seed)
         injector.install(*files)
         error: Optional[str] = None

@@ -12,7 +12,8 @@ time, so node I/O is charged through the backing
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import copy
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import RTreeError
 from repro.geometry.aabb import AABB
@@ -21,6 +22,9 @@ from repro.rtree.tree import RTree
 from repro.storage import pageio
 from repro.storage.pagedfile import PagedFile
 from repro.storage.serializer import NIL, decode_node, encode_node
+
+if TYPE_CHECKING:
+    from repro.storage.buffer import BufferPool
 
 KIND_LEAF = 0
 KIND_INTERNAL = 1
@@ -48,8 +52,19 @@ class PersistedNode:
                 f"level={self.level}, entries={len(self.entries)})")
 
 
+def _read_rtree_page(pfile: PagedFile, page_id: int) -> bytes:
+    """One node page through the sanctioned, retried, attributed read
+    (also the buffer pool's miss reader)."""
+    return pageio.read_page(pfile, page_id, component="rtree")
+
+
 class NodeStore:
-    """Reads and writes tree nodes in a paged file."""
+    """Reads and writes tree nodes in a paged file.
+
+    With a :class:`~repro.storage.buffer.BufferPool` attached (see
+    :meth:`with_pool`) node reads consult the pool first, so a hit costs
+    no disk charge; misses still read through ``pageio``.
+    """
 
     def __init__(self, pfile: PagedFile) -> None:
         self.pfile = pfile
@@ -57,6 +72,17 @@ class NodeStore:
         self.num_nodes = 0
         #: node offset -> page id, filled at write time.
         self.offset_to_page: Dict[int, int] = {}
+        self.pool: Optional["BufferPool"] = None
+
+    def with_pool(self, pool: "BufferPool") -> "NodeStore":
+        """A read view whose node reads go through ``pool``.
+
+        The view shares this store's paged file and offset directory
+        (the tree is immutable while it is read through a pool).
+        """
+        view = copy.copy(self)
+        view.pool = pool
+        return view
 
     def write_tree(self, tree: RTree,
                    lod_pointers: Optional[Dict[int, int]] = None) -> int:
@@ -99,12 +125,17 @@ class NodeStore:
         return self.root_page
 
     def read_node(self, node_offset: int) -> PersistedNode:
-        """Fetch and decode the node at ``node_offset`` (one page read)."""
+        """Fetch and decode the node at ``node_offset`` (one page read,
+        or a pool hit)."""
         try:
             page_id = self.offset_to_page[node_offset]
         except KeyError:
             raise RTreeError(f"unknown node offset {node_offset}") from None
-        data = pageio.read_page(self.pfile, page_id, component="rtree")
+        if self.pool is None:
+            data = _read_rtree_page(self.pfile, page_id)
+        else:
+            data = self.pool.get(self.pfile, page_id,
+                                 reader=_read_rtree_page)
         kind, level, stored_offset, entries = decode_node(data)
         if stored_offset != node_offset:
             raise RTreeError(

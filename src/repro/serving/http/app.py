@@ -24,9 +24,9 @@ under one ``asyncio`` lock, so one session steps at a time — the
 HTTP-facing equivalent of the round scheduler's phase 1.  The shared
 clock, the shared buffer pool and the per-session snapshot/delta
 attribution windows are only exact when one session steps at a time;
-the lock buys that exactness across interleaved coroutines.  Fidelity
-scoring runs inline (phase 2 of the scheduler), so a stepped frame's
-record is complete when the response leaves.
+the lock buys that exactness across interleaved coroutines.  A step
+scores its frame's fidelity inline, so a stepped frame's record is
+complete when the response leaves.
 
 Everything the app returns except wall-clock latency (measured by the
 middleware, reported by ``/stats``) is a pure function of the request
@@ -168,12 +168,9 @@ class WalkthroughService:
                     "frames": len(session.frames)}
         shed = (self.frame_budget_ms is not None
                 and session.last_frame_ms > self.frame_budget_ms)
-        thunk = session.step(shed_load=shed)
+        session.step(shed_load=shed)
         self.frames_served += 1
         get_registry().counter(names.SERVING_FRAMES).inc()
-        if thunk is not None:
-            # Phase 2 inline: the record is complete when we answer.
-            session.install_fidelity(thunk())
         frame = session.frames[-1]
         return {
             "id": session_id,
@@ -373,18 +370,13 @@ def build_service(*, scale: str = "small", eta: float = 0.001,
     """
     # Imported here: repro.experiments pulls in every experiment driver,
     # which the library layers must not depend on at import time.
-    from repro.core.hdov_tree import build_environment
-    from repro.experiments.config import get_scale
-    from repro.scene.city import generate_city
-    from repro.visibility.cells import CellGrid
+    from repro.experiments.config import build_scale_environment, get_scale
 
     if pool_pages < 0:
         raise WalkthroughError(
             f"pool_pages must be >= 0, got {pool_pages}")
     experiment = get_scale(scale)
-    scene = generate_city(experiment.city)
-    grid = CellGrid.covering(scene.bounds(), experiment.cell_size)
-    env = build_environment(scene, grid, experiment.hdov)
+    env = build_scale_environment(experiment)
     env.reset_stats()
     pool = (BufferPool(pool_pages, name="http")
             if pool_pages > 0 else None)

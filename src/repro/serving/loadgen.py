@@ -36,7 +36,6 @@ import numpy as np
 from repro.errors import WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
-from repro.obs.profile import _environment_files
 from repro.serving.http.app import (HttpRequest, WalkthroughApp,
                                     build_service)
 from repro.serving.http.stats import latency_summary
@@ -105,7 +104,7 @@ def run_traffic(*, sessions: int = 200, seed: int = 0,
         injector: Optional[FaultInjector] = None
         if fault_plan is not None:
             injector = FaultInjector(fault_plan, seed=fault_seed)
-            injector.install(*_environment_files(service.env))
+            injector.install(*service.env.files())
         started = time.perf_counter()
         try:
             outcome = asyncio.run(_drive(app, sessions=sessions,

@@ -14,7 +14,8 @@ Determinism contract (the serve report is byte-diffed in CI):
   :class:`~repro.walkthrough.transition.CellTransitionModel` and queues
   predicted targets.
 * **issuing** happens in phase 2, via :meth:`issue_round` — exactly one
-  batch per round, before any fidelity scoring, in pending-queue order.
+  batch per round, after every session has stepped, in pending-queue
+  order.
 * prefetch I/O is charged to the prefetcher's own ledger (an
   ``env.snapshot``/``delta`` window around the batch), never to a
   session — ``repro serve``'s reconciliation adds the ledger back in,

@@ -3,14 +3,13 @@
 The scheduler advances every active session by one frame per *round*,
 on one thread:
 
-* **phase 1** (query + accounting) steps each session in ascending
-  session id, so the shared simulated clock, the shared buffer pool and
-  the fault injector's RNG are consumed in one deterministic order,
-  making the whole service a pure function of (sessions, seed, scale,
-  eta, frames, plan);
-* **phase 2** issues the round's speculative prefetch batch, then
-  scores each stepped frame's fidelity and installs the score, in the
-  same session order.
+* **phase 1** (query + accounting + fidelity) steps each session in
+  ascending session id, so the shared simulated clock, the shared
+  buffer pool and the fault injector's RNG are consumed in one
+  deterministic order, making the whole service a pure function of
+  (sessions, seed, scale, eta, frames, plan); each step scores its
+  frame's fidelity inline;
+* **phase 2** issues the round's speculative prefetch batch.
 
 Admission control: at most ``max_active`` sessions run concurrently;
 the rest wait in FIFO (session id) order and are admitted as slots
@@ -22,8 +21,7 @@ to the root-LoD degraded answer instead of queueing work unboundedly.
 from __future__ import annotations
 
 from collections import deque
-from typing import (TYPE_CHECKING, Callable, Deque, List, Optional,
-                    Sequence, Tuple)
+from typing import TYPE_CHECKING, Deque, List, Optional, Sequence
 
 from repro.errors import WalkthroughError
 from repro.obs import names
@@ -78,24 +76,18 @@ class SessionScheduler:
                 # Phase 1 — query + accounting, session-id order.  A
                 # round a fault aborts adds nothing to frames_served.
                 served = 0
-                scoring: List[Tuple[ServingSession,
-                                    Callable[[], float]]] = []
                 for session in active:
                     shed = (self.frame_budget_ms is not None
                             and session.last_frame_ms
                             > self.frame_budget_ms)
-                    thunk = session.step(shed_load=shed)
+                    session.step(shed_load=shed)
                     served += 1
                     m_frames.inc()
-                    if thunk is not None:
-                        scoring.append((session, thunk))
                 self.frames_served += served
 
-                # Phase 2 — the prefetch batch, then fidelity scores.
+                # Phase 2 — the round's prefetch batch.
                 if self.prefetcher is not None:
                     self.prefetcher.issue_round()
-                for session, thunk in scoring:
-                    session.install_fidelity(thunk())
 
                 active = [s for s in active if not s.done]
         finally:

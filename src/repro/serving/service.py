@@ -20,20 +20,16 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.hdov_tree import HDoVEnvironment, build_environment
+from repro.core.hdov_tree import HDoVEnvironment
 from repro.errors import ReproError, WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.profile import _environment_files
-from repro.scene.city import generate_city
-from repro.serving.pooled import PooledNodeStore
 from repro.serving.prefetch import ServingPrefetcher
 from repro.serving.scheduler import SessionScheduler
 from repro.serving.session import ServingSession
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import IOStats
 from repro.storage.faults import FaultInjector, named_plan
-from repro.visibility.cells import CellGrid
 from repro.walkthrough.metrics import frame_time_stats
 from repro.walkthrough.session import make_session
 
@@ -63,21 +59,9 @@ def session_env(env: HDoVEnvironment,
         view = scheme.session_view()
         view.page_cache = pool
         schemes[scheme_name] = view
-    node_store = (PooledNodeStore(env.node_store, pool)
+    node_store = (env.node_store.with_pool(pool)
                   if pool is not None else env.node_store)
     return replace(env, schemes=schemes, node_store=node_store)
-
-
-def _stats_dict(stats: IOStats) -> Dict[str, object]:
-    return {
-        "reads": stats.reads,
-        "writes": stats.writes,
-        "seeks": stats.seeks,
-        "sequential_reads": stats.sequential_reads,
-        "bytes_read": stats.bytes_read,
-        "bytes_written": stats.bytes_written,
-        "simulated_ms": stats.simulated_ms,
-    }
 
 
 def _ios_equal(parts: IOStats, total: IOStats) -> bool:
@@ -143,7 +127,7 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
     """
     # Imported here: repro.experiments pulls in every experiment driver,
     # which the library layers must not depend on at import time.
-    from repro.experiments.config import get_scale
+    from repro.experiments.config import build_scale_environment, get_scale
 
     if sessions < 1:
         raise WalkthroughError(f"sessions must be >= 1, got {sessions}")
@@ -165,9 +149,7 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
                 "prefetch needs a pool (pool_pages > 0)")
     registry = MetricsRegistry()
     with use_registry(registry):
-        scene = generate_city(experiment.city)
-        grid = CellGrid.covering(scene.bounds(), experiment.cell_size)
-        env = build_environment(scene, grid, experiment.hdov)
+        env = build_scale_environment(experiment)
         num_frames = (frames if frames is not None
                       else experiment.session_frames)
         pool = (BufferPool(pool_pages, name="serving",
@@ -184,7 +166,7 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
         served: List[ServingSession] = []
         for session_id in range(sessions):
             pattern = int(rng.integers(1, 4))
-            path = make_session(pattern, scene.bounds(),
+            path = make_session(pattern, env.scene.bounds(),
                                 num_frames=num_frames,
                                 street_pitch=experiment.city.pitch)
             view = session_env(env, pool)
@@ -197,11 +179,10 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
         # Build I/O stays out of the serving ledger.
         env.reset_stats()
 
-        files = _environment_files(env)
         injector: Optional[FaultInjector] = None
         if fault_plan is not None:
             injector = FaultInjector(fault_plan, seed=fault_seed)
-            injector.install(*files)
+            injector.install(*env.files())
         scheduler = SessionScheduler(served, max_active=max_active,
                                      frame_budget_ms=frame_budget_ms,
                                      prefetcher=prefetcher)
@@ -266,8 +247,8 @@ def session_report(session: ServingSession,
         "degraded_frames": session.degraded_frames(),
         "overload_degraded": session.overload_degraded,
         "admission_wait_rounds": session.admission_wait_rounds,
-        "light": _stats_dict(session.light_total),
-        "heavy": _stats_dict(session.heavy_total),
+        "light": session.light_total.as_dict(),
+        "heavy": session.heavy_total.as_dict(),
         "pool": {
             "hits": session.pool_hits,
             "misses": session.pool_misses,
@@ -329,17 +310,17 @@ def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
              and _ms_close(env.heavy_stats.simulated_ms,
                            sum_heavy.simulated_ms))
     result: Dict[str, object] = {
-        "light_sessions": _stats_dict(sum_light),
-        "light_environment": _stats_dict(env.light_stats),
-        "heavy_sessions": _stats_dict(sum_heavy),
-        "heavy_environment": _stats_dict(env.heavy_stats),
+        "light_sessions": sum_light.as_dict(),
+        "light_environment": env.light_stats.as_dict(),
+        "heavy_sessions": sum_heavy.as_dict(),
+        "heavy_environment": env.heavy_stats.as_dict(),
         "light_ios_balanced": _ios_equal(sum_light, env.light_stats),
         "heavy_ios_balanced": _ios_equal(sum_heavy, env.heavy_stats),
         "simulated_ms_balanced": ms_ok,
     }
     if prefetcher is not None:
-        result["prefetch_light"] = _stats_dict(prefetcher.light_total)
-        result["prefetch_heavy"] = _stats_dict(prefetcher.heavy_total)
+        result["prefetch_light"] = prefetcher.light_total.as_dict()
+        result["prefetch_heavy"] = prefetcher.heavy_total.as_dict()
     if pool is not None:
         result["pool_balanced"] = (
             sum(s.pool_hits for s in served) == pool.hits

@@ -27,7 +27,7 @@ are new information, not a re-pricing.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Dict, Optional
 
 
 @dataclass
@@ -84,6 +84,21 @@ class IOStats:
         for name in _IOSTATS_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
+
+    def as_dict(self) -> Dict[str, float]:
+        """Every counter by name, the seek-direction split next to
+        ``seeks`` (the key order reports are written in)."""
+        return {
+            "reads": self.reads,
+            "writes": self.writes,
+            "seeks": self.seeks,
+            "back_seeks": self.back_seeks,
+            "forward_seeks": self.forward_seeks,
+            "sequential_reads": self.sequential_reads,
+            "bytes_read": self.bytes_read,
+            "bytes_written": self.bytes_written,
+            "simulated_ms": self.simulated_ms,
+        }
 
     def reset(self) -> None:
         self.reads = 0

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.hdov_tree import HDoVEnvironment
-from repro.core.search import HDoVSearch
-from repro.core.delta import DeltaSearch
 from repro.errors import WalkthroughError
 from repro.walkthrough.frame import FrameModel, FrameRecord
 from repro.walkthrough.session import Session
-from repro.walkthrough.visual import WalkthroughReport
+from repro.walkthrough.visual import FrameStepper, WalkthroughReport
 
 
 @dataclass
@@ -76,46 +74,31 @@ class AdaptiveVisualSystem:
                  cache_budget_bytes: Optional[int] = None) -> None:
         self.env = env
         self.controller = controller
-        self.eta = initial_eta
-        self.frame_model = frame_model or FrameModel()
-        searcher = HDoVSearch(env, scheme, fetch_models=False)
-        self.delta = DeltaSearch(searcher,
-                                 cache_budget_bytes=cache_budget_bytes)
+        self.stepper = FrameStepper(
+            env, eta=initial_eta, scheme=scheme, frame_model=frame_model,
+            evaluate_fidelity=False, cache_budget_bytes=cache_budget_bytes)
         #: eta value used at each frame (for analysis).
         self.eta_trace: List[float] = []
 
+    @property
+    def eta(self) -> float:
+        return self.stepper.eta
+
     def run(self, session: Session) -> WalkthroughReport:
+        stepper = self.stepper
+        stepper.reset()
         frames: List[FrameRecord] = []
-        self.delta.clear()
         self.eta_trace = []
-        last_cell = None
-        last_result = None
         for index, waypoint in enumerate(session):
-            position = waypoint.position_array()
-            cell_id = self.env.grid.cell_of_point(position)
-            snap = self.env.snapshot()
-            if cell_id != last_cell or last_result is None:
-                last_result = self.delta.query_cell(cell_id, self.eta)
-                last_cell = cell_id
-            light, heavy = self.env.delta(snap)
-            io_ms = light.simulated_ms + heavy.simulated_ms
-            polygons = last_result.total_polygons
-            frame_ms = self.frame_model.frame_ms(io_ms, polygons)
-            frames.append(FrameRecord(
-                frame_index=index, cell_id=cell_id, io_ms=io_ms,
-                light_ios=light.total_ios, heavy_ios=heavy.total_ios,
-                polygons=polygons, frame_ms=frame_ms, search_ms=io_ms,
-                fidelity=float("nan"),
-                resident_bytes=self.delta.resident_bytes,
-            ))
-            self.eta_trace.append(self.eta)
-            new_eta = self.controller.update(self.eta, frame_ms)
+            record, _, _ = stepper.step(index, waypoint.position_array())
+            frames.append(record)
+            self.eta_trace.append(stepper.eta)
+            new_eta = self.controller.update(stepper.eta, record.frame_ms)
             # Change detection, not numeric comparison: the controller
-            # returns self.eta unchanged (same object) when it makes no
+            # returns eta unchanged (same object) when it makes no
             # adjustment, so exact inequality is the right test here.
-            if new_eta != self.eta:  # repro: ignore[RPR005]
-                self.eta = new_eta
+            if new_eta != stepper.eta:  # repro: ignore[RPR005]
                 # The cached cell result was computed at the old eta.
-                last_cell = None
+                stepper.retune(new_eta)
         return WalkthroughReport(system="VISUAL(adaptive)",
                                  session=session.name, frames=frames)

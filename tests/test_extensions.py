@@ -1,17 +1,17 @@
-"""Extension experiments and the cached node store."""
-
-import pytest
+"""Extension experiments and the pool-fronted node store."""
 
 from repro.core.search import HDoVSearch
-from repro.experiments.config import SMALL
+from repro.experiments.config import SMALL, build_experiment_environment
 from repro.experiments.extensions import (run_node_cache_sweep,
                                           run_prefetch_extension,
                                           run_priority_extension)
-from repro.rtree.cached import CachedNodeStore
+from repro.obs import names
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.storage.buffer import BufferPool
 
 
 def test_cached_node_store_matches_plain(env):
-    cached = CachedNodeStore(env.node_store, capacity_pages=16)
+    cached = env.node_store.with_pool(BufferPool(16))
     for offset in range(env.node_store.num_nodes):
         plain = env.node_store.read_node(offset)
         via_cache = cached.read_node(offset)
@@ -21,13 +21,15 @@ def test_cached_node_store_matches_plain(env):
 
 
 def test_cached_node_store_saves_io(env):
-    cached = CachedNodeStore(env.node_store, capacity_pages=64)
+    pool = BufferPool(64)
+    cached = env.node_store.with_pool(pool)
     env.reset_stats()
     cached.read_node(0)
     first = env.light_stats.reads
     cached.read_node(0)
     assert env.light_stats.reads == first     # hit: no disk charge
-    assert cached.hit_rate > 0
+    assert pool.hit_rate > 0
+    assert env.node_store.pool is None        # the view, not the store
 
 
 def test_cached_search_equivalent(env):
@@ -38,7 +40,7 @@ def test_cached_search_equivalent(env):
 
     original = env.node_store
     try:
-        env.node_store = CachedNodeStore(original, 64)  # type: ignore
+        env.node_store = original.with_pool(BufferPool(64))
         cached_search = HDoVSearch(env, "indexed-vertical",
                                    fetch_models=False)
         result = cached_search.query_cell(busiest, 0.0)
@@ -69,3 +71,16 @@ def test_node_cache_sweep_small():
     assert result.node_ios_per_query[-1] <= result.node_ios_per_query[0]
     assert result.hit_rates[-1] >= result.hit_rates[0]
     assert "cache sweep" in result.format_table()
+
+
+def test_node_cache_sweep_misses_are_accounted_rtree_reads():
+    """Every node-cache miss of the sweep is a ``pageio`` read
+    attributed to the rtree component (retried, counted), not a raw
+    paged-file read the per-layer accounting never sees."""
+    build_experiment_environment(SMALL)         # build I/O outside
+    with use_registry(MetricsRegistry()) as registry:
+        result = run_node_cache_sweep(SMALL, capacities=(4,))
+        rtree_reads = registry.value(names.PAGEIO_READS, component="rtree")
+    misses = result.node_ios_per_query[0] * SMALL.num_query_viewpoints
+    assert misses > 0
+    assert rtree_reads == round(misses)

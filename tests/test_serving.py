@@ -210,10 +210,6 @@ class _StubSession:
 
     def step(self, *, shed_load=False):
         self._remaining -= 1
-        return None
-
-    def install_fidelity(self, fidelity):
-        raise AssertionError("stub sessions never score")
 
 
 def test_scheduler_zeroes_active_gauge_after_run():

@@ -1,13 +1,19 @@
 """Walkthrough layer: sessions, frame model, metrics, replay drivers."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import WalkthroughError
+from repro.serving.service import session_env
+from repro.serving.session import ServingSession
+from repro.walkthrough.adaptive import AdaptiveVisualSystem, EtaController
 from repro.walkthrough.frame import FrameModel, peak_resident_bytes
 from repro.walkthrough.memory import memory_report
 from repro.walkthrough.metrics import FidelityMetric, frame_time_stats
-from repro.walkthrough.session import (Session, Waypoint, make_session,
+from repro.walkthrough.session import (Session, make_session,
                                        street_lines, street_viewpoints)
 from repro.walkthrough.visual import ReviewWalkthrough, VisualSystem
 
@@ -203,3 +209,45 @@ def test_memory_report(env, session1):
 def test_visual_rejects_negative_eta(env):
     with pytest.raises(WalkthroughError):
         VisualSystem(env, eta=-1.0)
+
+
+# -- one frame body, every driver --------------------------------------------
+
+def _cold(env):
+    """Return every file head and scheme to its just-built state."""
+    for pfile in env.files():
+        pfile.reset_head()
+    for scheme in env.schemes.values():
+        scheme.reset_runtime_state()
+    env.reset_stats()
+
+
+def _adaptive_records(env, path):
+    # An infinite dead band: the controller never moves eta.
+    controller = EtaController(target_ms=10.0, dead_band=float("inf"))
+    system = AdaptiveVisualSystem(env, controller, initial_eta=0.001)
+    return system.run(path).frames
+
+
+def _serving_records(env, path):
+    session = ServingSession(0, path, session_env(env, None), eta=0.001,
+                             evaluate_fidelity=False)
+    while not session.done:
+        session.step()
+    return session.frames
+
+
+@pytest.mark.parametrize("driver", [_adaptive_records, _serving_records],
+                         ids=["adaptive", "serving"])
+def test_every_frame_path_gives_the_same_records(env, session1, driver):
+    """VisualSystem, AdaptiveVisualSystem at a fixed eta and a lone
+    unpooled ServingSession answer a path with identical FrameRecords."""
+    _cold(env)
+    expected = VisualSystem(env, eta=0.001,
+                            evaluate_fidelity=False).run(session1).frames
+    _cold(env)
+    got = driver(env, session1)
+    assert all(math.isnan(f.fidelity) for f in expected + got)
+    # NaN never equals itself; every other field compares exactly.
+    assert [replace(f, fidelity=0.0) for f in got] \
+        == [replace(f, fidelity=0.0) for f in expected]

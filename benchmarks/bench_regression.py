@@ -5,8 +5,8 @@ committed snapshots in ``baselines/`` and exits non-zero when any
 tracked higher-is-better metric regresses by more than
 ``--max-regression`` (default 15%).
 
-Only machine-independent metrics are tracked: the precompute speedup
-*ratios* (both sides of each ratio run on the same box, so the box
+Only machine-independent metrics are tracked: the precompute and node
+decode speedup *ratios* (both sides of each ratio run on the same box, so the box
 cancels out) and the serving curve's *simulated* throughput and hit
 rates (pure functions of the configuration).  Raw wall-clock seconds
 are deliberately untracked — a noisy runner must not be able to fail
@@ -91,6 +91,10 @@ TRACKED: Tuple[Tuple[str, str, str], ...] = (
      "replacement: sim frames/s, 2Q+prefetch, 64 sessions"),
     ("BENCH_replacement.json", "grid.64.cells.2q/on.useful_ratio",
      "replacement: prefetch useful ratio, 2Q, 64 sessions"),
+    # Same-process wall-clock ratio: per-entry reference node decode
+    # over the columnar decoder (see benchmarks/test_node_decode.py).
+    ("BENCH_hotpath.json", "speedup_node_decode",
+     "hot path: columnar node decode speedup over per-entry AABBs"),
 )
 
 

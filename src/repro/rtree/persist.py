@@ -21,7 +21,8 @@ from repro.rtree.node import Node
 from repro.rtree.tree import RTree
 from repro.storage import pageio
 from repro.storage.pagedfile import PagedFile
-from repro.storage.serializer import NIL, decode_node, encode_node
+from repro.storage.serializer import (NIL, NodeEntries, decode_node,
+                                      encode_node)
 
 if TYPE_CHECKING:
     from repro.storage.buffer import BufferPool
@@ -31,12 +32,13 @@ KIND_INTERNAL = 1
 
 
 class PersistedNode:
-    """Decoded on-page node."""
+    """Decoded on-page node; ``entries`` is the columnar
+    :class:`~repro.storage.serializer.NodeEntries`."""
 
     __slots__ = ("page_id", "kind", "level", "node_offset", "entries")
 
     def __init__(self, page_id: int, kind: int, level: int, node_offset: int,
-                 entries: List[Tuple[AABB, int, int]]) -> None:
+                 entries: NodeEntries) -> None:
         self.page_id = page_id
         self.kind = kind
         self.level = level

@@ -8,11 +8,11 @@ and object-store headers.  Layouts use little-endian fixed-width fields.
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SerializationError
+from repro.errors import GeometryError, SerializationError
 from repro.geometry.aabb import AABB
 
 #: MBR: 6 float32 (lo.xyz, hi.xyz)
@@ -21,6 +21,9 @@ _MBR = struct.Struct("<6f")
 _NODE_HEADER = struct.Struct("<BHBI")
 #: Node entry: MBR + child/object id (u32) + lod pointer (u32)
 _NODE_ENTRY = struct.Struct("<6fII")
+#: The same entry layout as a numpy record, for decoding a whole block.
+_NODE_ENTRY_DTYPE = np.dtype([("mbr", "<f4", (6,)), ("target", "<u4"),
+                              ("lod_ptr", "<u4")])
 #: V-entry: DoV (f32) + NVO (u32)  — Section 3.3's VD = (DoV, NVO)
 _VENTRY = struct.Struct("<fI")
 #: V-page header: node offset (u32) + entry count (u16) + pad (u16)
@@ -69,23 +72,67 @@ def encode_node(kind: int, level: int, vindex_offset: int,
     return b"".join(parts)
 
 
-def decode_node(data: bytes) -> Tuple[int, int, int, List[Tuple[AABB, int, int]]]:
+class NodeEntries:
+    """The entries of one decoded node, column by column.
+
+    ``mbrs`` is a read-only ``(n, 6)`` float64 array (``lo.xyz``,
+    ``hi.xyz`` per row); ``targets`` and ``lod_ptrs`` are lists of ints
+    (child node offset or object id, and LoD blob pointer).  The hot
+    traversal reads only ``targets``; :meth:`mbr` builds an
+    :class:`~repro.geometry.aabb.AABB` for the callers that test
+    geometry.  Iteration and indexing yield ``(mbr, target, lod_ptr)``
+    triples, as :func:`encode_node` takes them.
+    """
+
+    __slots__ = ("mbrs", "targets", "lod_ptrs")
+
+    def __init__(self, mbrs: np.ndarray, targets: List[int],
+                 lod_ptrs: List[int]) -> None:
+        self.mbrs = mbrs
+        self.targets = targets
+        self.lod_ptrs = lod_ptrs
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def mbr(self, index: int) -> AABB:
+        row = self.mbrs[index]
+        return AABB(row[0:3], row[3:6])
+
+    def __getitem__(self, index: int) -> Tuple[AABB, int, int]:
+        return self.mbr(index), self.targets[index], self.lod_ptrs[index]
+
+    def __iter__(self) -> Iterator[Tuple[AABB, int, int]]:
+        for index in range(len(self.targets)):
+            yield self[index]
+
+
+def decode_node(data: bytes) -> Tuple[int, int, int, NodeEntries]:
     """Inverse of :func:`encode_node`; returns
-    ``(kind, level, vindex_offset, entries)``."""
+    ``(kind, level, vindex_offset, entries)``.
+
+    The entry block is decoded in one pass and validated once: a short
+    page raises :class:`SerializationError`, a non-finite MBR component
+    or ``lo > hi`` raises :class:`GeometryError` (what constructing the
+    :class:`AABB` would raise).
+    """
     if len(data) < NODE_HEADER_SIZE:
         raise SerializationError("page too small for a node header")
     kind, count, level, vindex_offset = _NODE_HEADER.unpack_from(data, 0)
-    entries: List[Tuple[AABB, int, int]] = []
-    offset = NODE_HEADER_SIZE
-    for _ in range(count):
-        if offset + NODE_ENTRY_SIZE > len(data):
-            raise SerializationError("truncated node entry")
-        values = _NODE_ENTRY.unpack_from(data, offset)
-        mbr = AABB(np.array(values[0:3], dtype=np.float64),
-                   np.array(values[3:6], dtype=np.float64))
-        entries.append((mbr, values[6], values[7]))
-        offset += NODE_ENTRY_SIZE
-    return kind, level, vindex_offset, entries
+    if NODE_HEADER_SIZE + count * NODE_ENTRY_SIZE > len(data):
+        raise SerializationError(
+            f"truncated node: {count} entries overrun a "
+            f"{len(data)}-byte page")
+    block = np.frombuffer(data, dtype=_NODE_ENTRY_DTYPE, count=count,
+                          offset=NODE_HEADER_SIZE)
+    mbrs = block["mbr"].astype(np.float64)
+    if not np.isfinite(mbrs).all():
+        raise GeometryError("non-finite MBR component in node entry")
+    if (mbrs[:, 0:3] > mbrs[:, 3:6]).any():
+        raise GeometryError("node entry MBR has lo exceeding hi")
+    mbrs.setflags(write=False)
+    return kind, level, vindex_offset, NodeEntries(
+        mbrs, block["target"].tolist(), block["lod_ptr"].tolist())
 
 
 def encode_vpage(node_offset: int, ventries: Sequence[Tuple[float, int]],

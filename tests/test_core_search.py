@@ -3,8 +3,11 @@
 import pytest
 
 from repro.baselines.naive import NaiveCellList
+from repro.core.priority import PrioritizedSearch
 from repro.core.search import HDoVSearch
 from repro.errors import HDoVError
+from repro.geometry.frustum import Camera
+from repro.storage.serializer import NodeEntries
 
 
 def interesting_cells(env, limit=6):
@@ -201,3 +204,51 @@ def test_decision_counters_partition_entries(env):
         total_entries = (result.pruned + len(result.objects)
                          + result.terminated + result.recursed)
         assert total_entries > 0
+
+
+# -- the traversal reads ids, not MBRs --------------------------------------
+
+
+def _forbid_mbr(monkeypatch):
+    def forbidden(self, index):
+        raise AssertionError("Figure 3 built an MBR it never reads")
+    monkeypatch.setattr(NodeEntries, "mbr", forbidden)
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["raw", "packed"])
+def test_traversal_builds_no_mbr(env, env_packed, monkeypatch, packed):
+    """Every cell, every scheme, both codecs: the plain traversal answers
+    from the decoded child ids alone."""
+    environment = env_packed if packed else env
+    _forbid_mbr(monkeypatch)
+    for name in environment.schemes:
+        search = HDoVSearch(environment, name, fetch_models=False)
+        for cell_id in environment.grid.cell_ids():
+            for eta in (0.0, 0.01):
+                result = search.query_cell(cell_id, eta)
+                assert result.nodes_read >= 1
+
+
+def test_frustum_priority_still_builds_mbrs(env, monkeypatch):
+    """The frustum test is the one traversal that needs the MBRs; it
+    builds them on demand and still matches the plain answer."""
+    built = []
+    original = NodeEntries.mbr
+
+    def counting(self, index):
+        built.append(index)
+        return original(self, index)
+
+    monkeypatch.setattr(NodeEntries, "mbr", counting)
+    cell_id = interesting_cells(env, limit=1)[0]
+    camera = Camera(position=env.grid.cell_center(cell_id),
+                    direction=(1.0, 0.0, 0.0), up=(0, 0, 1), fov_deg=70.0,
+                    far=5000.0)
+    prioritized = PrioritizedSearch(env, "indexed-vertical",
+                                    fetch_models=False)
+    result = prioritized.query(camera, 0.0)
+    assert built
+    plain = HDoVSearch(env, "indexed-vertical", fetch_models=False)
+    plain.scheme.current_cell = None
+    assert result.completed.object_ids() == \
+        plain.query_cell(cell_id, 0.0).object_ids()

@@ -272,13 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pool-pages", type=int, default=256,
                        help="shared buffer-pool capacity in pages "
                             "(default: 256; 0 serves unpooled)")
-    serve.add_argument("--policy", default=None, choices=["lru", "2q"],
-                       help="pool replacement policy (default: the "
-                            "scale's, normally lru)")
-    serve.add_argument("--prefetch", action="store_true", default=None,
+    serve.add_argument("--policy", default="lru", choices=["lru", "2q"],
+                       help="pool replacement policy (default: lru)")
+    serve.add_argument("--prefetch", action="store_true",
                        help="enable cross-session predictive pool "
-                            "prefetch (default: the scale's, normally "
-                            "off)")
+                            "prefetch (default: off)")
     serve.add_argument("--plan", default=None,
                        help="optional fault plan to serve under "
                             "(see 'repro chaos --list-plans')")

@@ -386,13 +386,3 @@ class StorageScheme(abc.ABC):
 def _scheme_reader(pfile: PagedFile, page_id: int) -> bytes:
     """Buffer-pool miss reader: the sanctioned scheme-component read."""
     return pageio.read_page(pfile, page_id, component="schemes")
-
-
-def vpages_needed(num_entries: int, page_size: int, header: int,
-                  ventry_size: int) -> int:
-    """Pages needed for one node's V-entries (always >= 1)."""
-    payload = header + num_entries * ventry_size
-    if payload > page_size:
-        raise SchemeError(
-            f"V-page overflow: {num_entries} entries need {payload} bytes")
-    return 1

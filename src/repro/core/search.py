@@ -217,10 +217,10 @@ class HDoVSearch:
     def query_cell_degraded(self, cell_id: int, eta: float) -> SearchResult:
         """Answer a query wholly from the root's internal LoD.
 
-        The serving scheduler's overload path (PR 5): when a session
-        misses its frame budget, the service sheds load by reusing the
-        PR-3 degradation ladder *proactively* — no flip, no node reads,
-        no V-page reads, just the view-invariant root LoD.  The answer
+        The serving overload path: when a session misses its frame
+        budget, the service sheds load by reusing the degradation
+        ladder *proactively* — no flip, no node reads, no V-page
+        reads, just the view-invariant root LoD.  The answer
         is complete but coarse, and ``result.degraded`` records it so
         per-session reports can count overload-degraded frames.
         """

@@ -19,8 +19,6 @@ Naming convention (Prometheus style):
 
 from __future__ import annotations
 
-from typing import Dict
-
 # -- repro.storage.pagedfile: one series set per file label -----------------
 
 PAGEDFILE_READS = "pagedfile_reads_total"
@@ -130,9 +128,3 @@ TRAFFIC_REQUESTS = "traffic_requests_total"
 PRECOMPUTE_CELLS = "precompute_cells_total"
 PRECOMPUTE_CELLS_CACHED = "precompute_cells_cached_total"
 PRECOMPUTE_RAYS = "precompute_rays_total"
-
-
-def registered_names() -> Dict[str, str]:
-    """``{constant name: series name}`` for every registered metric."""
-    return {key: value for key, value in globals().items()
-            if key.isupper() and isinstance(value, str)}

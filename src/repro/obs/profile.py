@@ -31,10 +31,6 @@ from repro.storage.pagedfile import PagedFile
 from repro.walkthrough.session import make_session
 from repro.walkthrough.visual import VisualSystem
 
-#: Relative tolerance for reconciling floating simulated-ms sums;
-#: integer counters must match exactly.
-_MS_RTOL = 1e-9
-
 
 def _metric_sum(registry: MetricsRegistry, name: str) -> float:
     """Total of one counter across all its label series (0.0 if none)."""
@@ -71,7 +67,7 @@ def reconcile(per_file: Dict[str, Dict[str, float]],
     """Check per-file registry counters against ``IOStats`` totals.
 
     Files sharing one ``IOStats`` (the light-weight group) are summed
-    before comparing.  Returns ``{"ok": bool, "groups": {...}}`` with a
+    before comparing with :meth:`IOStats.mismatches`.  Returns ``{"ok": bool, "groups": {...}}`` with a
     per-group breakdown of both sides.
     """
     name_of_stats = {id(stats): name
@@ -88,16 +84,9 @@ def reconcile(per_file: Dict[str, Dict[str, float]],
         for field, value in per_file[pfile.name].items():
             group["counted"][field] += value
 
-    ok = True
-    for group in groups.values():
-        for field, expected in group["expected"].items():
-            counted = group["counted"][field]
-            if field == "simulated_ms":
-                tolerance = _MS_RTOL * max(abs(expected), 1.0)
-                if abs(counted - expected) > tolerance:
-                    ok = False
-            elif counted != expected:
-                ok = False
+    ok = not any(IOStats(**group["counted"]).mismatches(
+                     IOStats(**group["expected"]))
+                 for group in groups.values())
     return {"ok": ok, "groups": list(groups.values())}
 
 

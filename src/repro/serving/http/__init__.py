@@ -1,7 +1,8 @@
 """Network-facing walkthrough service.
 
-The in-process serving layer (PR 5) answers many sessions against one
-tree; this subpackage puts a network edge in front of it:
+The session lifecycle (:mod:`repro.serving.service`) answers many
+sessions against one tree; this subpackage puts a network edge in front
+of it:
 
 * :mod:`repro.serving.http.app` — the framework-free async application:
   session create/step/close, health and stats endpoints, with every

@@ -1,6 +1,9 @@
-"""The walkthrough application: session lifecycle over HTTP semantics.
+"""The walkthrough application: the HTTP front end of the session lifecycle.
 
-The app is framework-free: an :class:`HttpRequest` goes in, an
+Sessions live in :class:`~repro.serving.service.WalkthroughService`,
+the lifecycle ``repro serve`` drives too; this module only routes
+requests to it and maps its errors to statuses.  The app is
+framework-free: an :class:`HttpRequest` goes in, an
 :class:`HttpResponse` comes out, and the stdlib ``asyncio`` server
 (:mod:`repro.serving.http.server`) or an in-process caller (the load
 generator, the tests) is just transport.  Routes:
@@ -21,7 +24,7 @@ GET      ``/metrics``                  the metrics registry, collected
 
 Concurrency model: every state-mutating route (create/step/close) runs
 under one ``asyncio`` lock, so one session steps at a time — the
-HTTP-facing equivalent of the round scheduler's phase 1.  The shared
+HTTP-facing equivalent of the round loop's phase 1.  The shared
 clock, the shared buffer pool and the per-session snapshot/delta
 attribution windows are only exact when one session steps at a time;
 the lock buys that exactness across interleaved coroutines.  A step
@@ -40,14 +43,12 @@ import asyncio
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.hdov_tree import HDoVEnvironment
 from repro.errors import ReproError, ServiceOverloadedError, WalkthroughError
-from repro.obs import names
-from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.serving.service import session_env, session_report
-from repro.serving.session import ServingSession
-from repro.storage.buffer import BufferPool
-from repro.walkthrough.session import make_session
+from repro.obs.metrics import get_registry
+from repro.serving.service import WalkthroughService, build_service
+
+__all__ = ["HttpRequest", "HttpResponse", "WalkthroughApp",
+           "WalkthroughService", "build_service"]
 
 
 class HttpRequest:
@@ -80,175 +81,6 @@ class HttpResponse:
 
     def __repr__(self) -> str:
         return f"HttpResponse({self.status})"
-
-
-class WalkthroughService:
-    """Synchronous session-lifecycle core the async app delegates to.
-
-    Owns the shared environment, the shared buffer pool, and the live
-    :class:`~repro.serving.session.ServingSession` table.  Admission
-    control mirrors the round scheduler's: at most ``max_active`` live
-    sessions; a create beyond that is *shed* (raised as
-    :class:`~repro.errors.ServiceOverloadedError`, mapped to 503), not
-    queued — a network client retries, a queue would hide the overload
-    the traffic report exists to measure.
-    """
-
-    def __init__(self, env: HDoVEnvironment, *,
-                 pool: Optional[BufferPool] = None,
-                 eta: float = 0.001,
-                 scheme: Optional[str] = None,
-                 frames: int = 30,
-                 street_pitch: float = 100.0,
-                 max_active: Optional[int] = None,
-                 frame_budget_ms: Optional[float] = None,
-                 cache_budget_bytes: Optional[int] = None,
-                 evaluate_fidelity: bool = False) -> None:
-        if frames < 1:
-            raise WalkthroughError(f"frames must be >= 1, got {frames}")
-        if max_active is not None and max_active < 1:
-            raise WalkthroughError(
-                f"max_active must be >= 1, got {max_active}")
-        if frame_budget_ms is not None and frame_budget_ms <= 0:
-            raise WalkthroughError(
-                f"frame_budget_ms must be > 0, got {frame_budget_ms}")
-        self.env = env
-        self.pool = pool
-        self.eta = eta
-        self.scheme = scheme
-        self.frames = frames
-        self.street_pitch = street_pitch
-        self.max_active = max_active
-        self.frame_budget_ms = frame_budget_ms
-        self.cache_budget_bytes = cache_budget_bytes
-        self.evaluate_fidelity = evaluate_fidelity
-        self.sessions: Dict[int, ServingSession] = {}
-        self._next_id = 0
-        self.sessions_created = 0
-        self.sessions_shed = 0
-        self.sessions_closed = 0
-        self.frames_served = 0
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def create_session(self, pattern: int = 1,
-                       frames: Optional[int] = None) -> Dict[str, object]:
-        if pattern not in (1, 2, 3):
-            raise WalkthroughError(
-                f"pattern must be 1, 2 or 3, got {pattern}")
-        num_frames = frames if frames is not None else self.frames
-        if num_frames < 1:
-            raise WalkthroughError(
-                f"frames must be >= 1, got {num_frames}")
-        if self.max_active is not None and \
-                len(self.sessions) >= self.max_active:
-            self.sessions_shed += 1
-            raise ServiceOverloadedError(
-                f"at capacity ({self.max_active} active sessions)")
-        path = make_session(pattern, self.env.scene.bounds(),
-                            num_frames=num_frames,
-                            street_pitch=self.street_pitch)
-        view = session_env(self.env, self.pool)
-        session_id = self._next_id
-        self._next_id += 1
-        session = ServingSession(
-            session_id, path, view, eta=self.eta, scheme=self.scheme,
-            pool=self.pool, cache_budget_bytes=self.cache_budget_bytes,
-            evaluate_fidelity=self.evaluate_fidelity)
-        self.sessions[session_id] = session
-        self.sessions_created += 1
-        get_registry().counter(names.SERVING_SESSIONS).inc()
-        return {"id": session_id, "pattern": pattern,
-                "path": path.name, "frames": num_frames}
-
-    def step_session(self, session_id: int) -> Dict[str, object]:
-        session = self._get(session_id)
-        if session.done:
-            return {"id": session_id, "done": True, "stepped": False,
-                    "frames": len(session.frames)}
-        shed = (self.frame_budget_ms is not None
-                and session.last_frame_ms > self.frame_budget_ms)
-        session.step(shed_load=shed)
-        self.frames_served += 1
-        get_registry().counter(names.SERVING_FRAMES).inc()
-        frame = session.frames[-1]
-        return {
-            "id": session_id,
-            "done": session.done,
-            "stepped": True,
-            "frame_index": frame.frame_index,
-            "cell_id": frame.cell_id,
-            "frame_ms": frame.frame_ms,
-            "io_ms": frame.io_ms,
-            "polygons": frame.polygons,
-            "degraded": frame.degraded,
-            "shed": shed,
-        }
-
-    def close_session(self, session_id: int) -> Dict[str, object]:
-        session = self._get(session_id)
-        del self.sessions[session_id]
-        self.sessions_closed += 1
-        report = session_report(session, include_frame_times=False)
-        report["done"] = session.done
-        return report
-
-    def session_status(self, session_id: int) -> Dict[str, object]:
-        session = self._get(session_id)
-        return {"id": session_id, "path": session.path.name,
-                "frames": len(session.frames),
-                "total_frames": session.path.num_frames,
-                "done": session.done}
-
-    def _get(self, session_id: int) -> ServingSession:
-        session = self.sessions.get(session_id)
-        if session is None:
-            raise WalkthroughError(f"no such session: {session_id}")
-        return session
-
-    # -- introspection -----------------------------------------------------
-
-    def health(self) -> Dict[str, object]:
-        """``ok`` until the degradation ladder has fired; then
-        ``degraded`` — the service keeps answering either way (PR 3's
-        promise: faults degrade fidelity, never availability)."""
-        registry = get_registry()
-        degraded_frames = int(_series_total(registry,
-                                            names.FRAMES_DEGRADED))
-        corrupt_pages = int(_series_total(registry, names.PAGES_CORRUPT))
-        giveups = int(_series_total(registry, names.PAGEIO_GIVEUPS))
-        degraded = bool(degraded_frames or corrupt_pages or giveups)
-        return {
-            "status": "degraded" if degraded else "ok",
-            "active_sessions": len(self.sessions),
-            "frames_degraded": degraded_frames,
-            "pages_corrupt": corrupt_pages,
-            "io_giveups": giveups,
-        }
-
-    def stats(self) -> Dict[str, object]:
-        counts: Dict[str, object] = {
-            "sessions_created": self.sessions_created,
-            "sessions_shed": self.sessions_shed,
-            "sessions_closed": self.sessions_closed,
-            "sessions_active": len(self.sessions),
-            "frames_served": self.frames_served,
-        }
-        if self.pool is not None:
-            counts["pool"] = {
-                "capacity": self.pool.capacity,
-                "hits": self.pool.hits,
-                "misses": self.pool.misses,
-                "evictions": self.pool.evictions,
-                "hit_rate": self.pool.hit_rate,
-            }
-        return counts
-
-
-def _series_total(registry: MetricsRegistry, name: str) -> float:
-    """Sum a counter/gauge over every label set (0.0 when unused)."""
-    return sum(instrument.value  # type: ignore[attr-defined]
-               for instrument in registry.series(name).values())
 
 
 _SESSION_PATH = re.compile(r"^/sessions/(\d+)$")
@@ -354,37 +186,3 @@ class WalkthroughApp:
             return HttpResponse(
                 500, {"error": f"{type(exc).__name__}: {exc}"})
         return HttpResponse(201 if created else 200, body)
-
-
-def build_service(*, scale: str = "small", eta: float = 0.001,
-                  frames: Optional[int] = None,
-                  scheme: Optional[str] = None,
-                  pool_pages: int = 256,
-                  max_active: Optional[int] = None,
-                  frame_budget_ms: Optional[float] = None,
-                  evaluate_fidelity: bool = False) -> WalkthroughService:
-    """Build a fresh environment + pool and wrap them in a service.
-
-    Build I/O is reset out of the serving ledger, exactly as
-    ``run_serve`` does, so the first session's frames start from zero.
-    """
-    # Imported here: repro.experiments pulls in every experiment driver,
-    # which the library layers must not depend on at import time.
-    from repro.experiments.config import build_scale_environment, get_scale
-
-    if pool_pages < 0:
-        raise WalkthroughError(
-            f"pool_pages must be >= 0, got {pool_pages}")
-    experiment = get_scale(scale)
-    env = build_scale_environment(experiment)
-    env.reset_stats()
-    pool = (BufferPool(pool_pages, name="http")
-            if pool_pages > 0 else None)
-    num_frames = (frames if frames is not None
-                  else experiment.session_frames)
-    return WalkthroughService(
-        env, pool=pool, eta=eta, scheme=scheme, frames=num_frames,
-        street_pitch=experiment.city.pitch, max_active=max_active,
-        frame_budget_ms=frame_budget_ms,
-        cache_budget_bytes=experiment.visual_cache_budget_bytes,
-        evaluate_fidelity=evaluate_fidelity)

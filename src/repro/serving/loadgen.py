@@ -39,6 +39,7 @@ from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 from repro.serving.http.app import (HttpRequest, WalkthroughApp,
                                     build_service)
 from repro.serving.http.stats import latency_summary
+from repro.serving.service import pool_summary
 from repro.storage.faults import FaultInjector, named_plan
 
 #: Virtual milliseconds between steps when a frame reports a simulated
@@ -256,15 +257,6 @@ def _deterministic_report(app: WalkthroughApp, outcome: _Outcome,
     shed_rate = (outcome.shed / outcome.offered if outcome.offered
                  else 0.0)
     pool = app.service.pool
-    pool_block: Optional[Dict[str, object]] = None
-    if pool is not None:
-        pool_block = {
-            "capacity": pool.capacity,
-            "hits": pool.hits,
-            "misses": pool.misses,
-            "evictions": pool.evictions,
-            "hit_rate": pool.hit_rate,
-        }
     return {
         "sessions": {
             "offered": outcome.offered,
@@ -292,5 +284,5 @@ def _deterministic_report(app: WalkthroughApp, outcome: _Outcome,
         # *Simulated* frame latency — virtual-clock, hence exact.
         "sim_frame_ms": latency_summary(outcome.frame_ms),
         "sim_duration_ms": outcome.end_ms,
-        "pool": pool_block,
+        "pool": pool_summary(pool) if pool is not None else None,
     }

@@ -8,7 +8,7 @@ that segment points to — into the shared pool before the flip happens.
 
 Determinism contract (the serve report is byte-diffed in CI):
 
-* **planning** happens in the scheduler's phase 1, via
+* **planning** happens in the round loop's phase 1, via
   :meth:`observe` — one call per session per round, in session-id
   order.  Observation does no I/O: it trains the shared
   :class:`~repro.walkthrough.transition.CellTransitionModel` and queues

@@ -1,11 +1,21 @@
-"""``repro serve`` — the multi-session walkthrough service runner.
+"""The one session lifecycle, and ``repro serve``, its round-loop driver.
 
-Builds a fresh environment against a fresh metrics registry, creates N
-sessions (motion patterns drawn from the seed), serves them through one
-shared buffer pool under the round scheduler, and emits a JSON-ready
-report: per-session frame times and I/O attribution, pool hit rates,
-degraded-frame counts, and an exact reconciliation of per-session
-accounting against the shared clock.
+:class:`WalkthroughService` owns the shared environment, the shared
+buffer pool and the live :class:`~repro.serving.session.ServingSession`
+table; it creates, steps and closes sessions, and it alone decides
+when a frame is shed to the root LoD.  :func:`build_service` builds one
+from a scale name.  Two front ends drive it:
+
+* the HTTP app (:mod:`repro.serving.http.app`, ``repro traffic``),
+  which sheds a create past ``max_active`` with a 503;
+* the round loop (:func:`serve_rounds`, ``repro serve``), which builds
+  its service with no cap and queues sessions FIFO instead.
+
+``repro serve`` creates N sessions (motion patterns drawn from the
+seed), serves them in rounds, and emits a JSON-ready report: per-session
+frame times and I/O attribution, pool hit rates, degraded-frame counts,
+and an exact reconciliation of per-session accounting against the
+shared clock.
 
 The report deliberately contains *no wall-clock measurements*:
 everything in it is a pure function of (sessions, seed, scale, eta,
@@ -15,34 +25,23 @@ byte-identical JSON — the CI serving-stress job diffs exactly that.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
-from typing import Dict, List, Optional
+from collections import deque
+from dataclasses import replace
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.hdov_tree import HDoVEnvironment
-from repro.errors import ReproError, WalkthroughError
+from repro.errors import ReproError, ServiceOverloadedError, WalkthroughError
 from repro.obs import names
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 from repro.serving.prefetch import ServingPrefetcher
-from repro.serving.scheduler import SessionScheduler
 from repro.serving.session import ServingSession
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import IOStats
 from repro.storage.faults import FaultInjector, named_plan
 from repro.walkthrough.metrics import frame_time_stats
 from repro.walkthrough.session import make_session
-
-#: The integer IOStats counters, which must reconcile exactly; only the
-#: float ``simulated_ms`` is compared within :data:`_MS_RTOL`.
-_EXACT_FIELDS = tuple(f.name for f in fields(IOStats)
-                      if f.name != "simulated_ms")
-
-#: Relative tolerance for simulated-ms reconciliation: per-session ms
-#: are telescoping float differences of the shared clock, so their sum
-#: can drift from the total by rounding ulps (the integer I/O counts
-#: must balance exactly).
-_MS_RTOL = 1e-9
 
 
 def session_env(env: HDoVEnvironment,
@@ -64,15 +63,273 @@ def session_env(env: HDoVEnvironment,
     return replace(env, schemes=schemes, node_store=node_store)
 
 
-def _ios_equal(parts: IOStats, total: IOStats) -> bool:
-    """Every integer counter of the two ledgers agrees exactly."""
-    return all(getattr(parts, name) == getattr(total, name)
-               for name in _EXACT_FIELDS)
+def _check_limits(max_active: Optional[int],
+                  frame_budget_ms: Optional[float]) -> None:
+    """An admission cap and a frame budget, when set, are positive."""
+    if max_active is not None and max_active < 1:
+        raise WalkthroughError(
+            f"max_active must be >= 1, got {max_active}")
+    if frame_budget_ms is not None and frame_budget_ms <= 0:
+        raise WalkthroughError(
+            f"frame_budget_ms must be > 0, got {frame_budget_ms}")
 
 
-def _ms_close(total: float, parts: float) -> bool:
-    scale = max(abs(total), abs(parts), 1.0)
-    return abs(total - parts) <= _MS_RTOL * scale
+class WalkthroughService:
+    """The session lifecycle both front ends drive.
+
+    Sessions step one at a time, so the shared clock, the shared pool
+    and the per-session attribution windows stay exact.  Admission
+    control: at most ``max_active`` live sessions; a create beyond that
+    is *shed* (raised as :class:`~repro.errors.ServiceOverloadedError`,
+    which the HTTP app maps to 503), not queued — a network client
+    retries, a queue would hide the overload the traffic report exists
+    to measure.  Overload control: a session whose previous frame
+    exceeded ``frame_budget_ms`` on the simulated clock has its next
+    query shed to the root-LoD degraded answer.
+    """
+
+    def __init__(self, env: HDoVEnvironment, *,
+                 pool: Optional[BufferPool] = None,
+                 eta: float = 0.001,
+                 scheme: Optional[str] = None,
+                 frames: int = 30,
+                 street_pitch: float = 100.0,
+                 max_active: Optional[int] = None,
+                 frame_budget_ms: Optional[float] = None,
+                 cache_budget_bytes: Optional[int] = None,
+                 evaluate_fidelity: bool = False) -> None:
+        if frames < 1:
+            raise WalkthroughError(f"frames must be >= 1, got {frames}")
+        _check_limits(max_active, frame_budget_ms)
+        self.env = env
+        self.pool = pool
+        self.eta = eta
+        self.scheme = scheme
+        self.frames = frames
+        self.street_pitch = street_pitch
+        self.max_active = max_active
+        self.frame_budget_ms = frame_budget_ms
+        self.cache_budget_bytes = cache_budget_bytes
+        self.evaluate_fidelity = evaluate_fidelity
+        #: Cross-session pool prefetcher handed to every session created
+        #: from here on (``repro serve --prefetch`` sets it).
+        self.prefetcher: Optional[ServingPrefetcher] = None
+        self.sessions: Dict[int, ServingSession] = {}
+        self._next_id = 0
+        self.sessions_created = 0
+        self.sessions_shed = 0
+        self.sessions_closed = 0
+        self.frames_served = 0
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def create_session(self, pattern: int = 1,
+                       frames: Optional[int] = None) -> Dict[str, object]:
+        if pattern not in (1, 2, 3):
+            raise WalkthroughError(
+                f"pattern must be 1, 2 or 3, got {pattern}")
+        num_frames = frames if frames is not None else self.frames
+        if num_frames < 1:
+            raise WalkthroughError(
+                f"frames must be >= 1, got {num_frames}")
+        if self.max_active is not None and \
+                len(self.sessions) >= self.max_active:
+            self.sessions_shed += 1
+            raise ServiceOverloadedError(
+                f"at capacity ({self.max_active} active sessions)")
+        path = make_session(pattern, self.env.scene.bounds(),
+                            num_frames=num_frames,
+                            street_pitch=self.street_pitch)
+        view = session_env(self.env, self.pool)
+        session_id = self._next_id
+        self._next_id += 1
+        session = ServingSession(
+            session_id, path, view, eta=self.eta, scheme=self.scheme,
+            pool=self.pool, cache_budget_bytes=self.cache_budget_bytes,
+            evaluate_fidelity=self.evaluate_fidelity,
+            prefetcher=self.prefetcher)
+        self.sessions[session_id] = session
+        self.sessions_created += 1
+        get_registry().counter(names.SERVING_SESSIONS).inc()
+        return {"id": session_id, "pattern": pattern,
+                "path": path.name, "frames": num_frames}
+
+    def step_session(self, session_id: int) -> Dict[str, object]:
+        session = self._get(session_id)
+        if session.done:
+            return {"id": session_id, "done": True, "stepped": False,
+                    "frames": len(session.frames)}
+        shed = (self.frame_budget_ms is not None
+                and session.last_frame_ms > self.frame_budget_ms)
+        session.step(shed_load=shed)
+        self.frames_served += 1
+        get_registry().counter(names.SERVING_FRAMES).inc()
+        frame = session.frames[-1]
+        return {
+            "id": session_id,
+            "done": session.done,
+            "stepped": True,
+            "frame_index": frame.frame_index,
+            "cell_id": frame.cell_id,
+            "frame_ms": frame.frame_ms,
+            "io_ms": frame.io_ms,
+            "polygons": frame.polygons,
+            "degraded": frame.degraded,
+            "shed": shed,
+        }
+
+    def close_session(self, session_id: int) -> Dict[str, object]:
+        session = self._get(session_id)
+        del self.sessions[session_id]
+        self.sessions_closed += 1
+        report = session_report(session, include_frame_times=False)
+        report["done"] = session.done
+        return report
+
+    def session_status(self, session_id: int) -> Dict[str, object]:
+        session = self._get(session_id)
+        return {"id": session_id, "path": session.path.name,
+                "frames": len(session.frames),
+                "total_frames": session.path.num_frames,
+                "done": session.done}
+
+    def _get(self, session_id: int) -> ServingSession:
+        session = self.sessions.get(session_id)
+        if session is None:
+            raise WalkthroughError(f"no such session: {session_id}")
+        return session
+
+    # -- introspection -----------------------------------------------------
+
+    def health(self) -> Dict[str, object]:
+        """``ok`` until the degradation ladder has fired; then
+        ``degraded`` — the service keeps answering either way (faults
+        degrade fidelity, never availability)."""
+        registry = get_registry()
+        degraded_frames = int(_series_total(registry,
+                                            names.FRAMES_DEGRADED))
+        corrupt_pages = int(_series_total(registry, names.PAGES_CORRUPT))
+        giveups = int(_series_total(registry, names.PAGEIO_GIVEUPS))
+        degraded = bool(degraded_frames or corrupt_pages or giveups)
+        return {
+            "status": "degraded" if degraded else "ok",
+            "active_sessions": len(self.sessions),
+            "frames_degraded": degraded_frames,
+            "pages_corrupt": corrupt_pages,
+            "io_giveups": giveups,
+        }
+
+    def stats(self) -> Dict[str, object]:
+        counts: Dict[str, object] = {
+            "sessions_created": self.sessions_created,
+            "sessions_shed": self.sessions_shed,
+            "sessions_closed": self.sessions_closed,
+            "sessions_active": len(self.sessions),
+            "frames_served": self.frames_served,
+        }
+        if self.pool is not None:
+            counts["pool"] = pool_summary(self.pool)
+        return counts
+
+
+def _series_total(registry: MetricsRegistry, name: str) -> float:
+    """Sum a counter/gauge over every label set (0.0 when unused)."""
+    return sum(instrument.value  # type: ignore[attr-defined]
+               for instrument in registry.series(name).values())
+
+
+def build_service(*, scale: str = "small", eta: float = 0.001,
+                  frames: Optional[int] = None,
+                  scheme: Optional[str] = None,
+                  pool_pages: int = 256,
+                  policy: str = "lru",
+                  max_active: Optional[int] = None,
+                  frame_budget_ms: Optional[float] = None,
+                  evaluate_fidelity: bool = False) -> WalkthroughService:
+    """Build a fresh environment + pool and wrap them in a service.
+
+    ``pool_pages`` is the shared pool's capacity (0 serves unpooled:
+    every session reads straight through ``pageio``); ``policy`` its
+    replacement policy (``"lru"``/``"2q"``).  Build I/O is reset out of
+    the serving ledger, so the first session's frames start from zero.
+    """
+    # Imported here: repro.experiments pulls in every experiment driver,
+    # which the library layers must not depend on at import time.
+    from repro.experiments.config import build_scale_environment, get_scale
+
+    if pool_pages < 0:
+        raise WalkthroughError(
+            f"pool_pages must be >= 0, got {pool_pages}")
+    if pool_pages == 0 and policy != "lru":
+        raise WalkthroughError(
+            "replacement policy needs a pool (pool_pages > 0)")
+    experiment = get_scale(scale)
+    env = build_scale_environment(experiment)
+    env.reset_stats()
+    pool = (BufferPool(pool_pages, name="serving", policy=policy)
+            if pool_pages > 0 else None)
+    num_frames = (frames if frames is not None
+                  else experiment.session_frames)
+    return WalkthroughService(
+        env, pool=pool, eta=eta, scheme=scheme, frames=num_frames,
+        street_pitch=experiment.city.pitch, max_active=max_active,
+        frame_budget_ms=frame_budget_ms,
+        cache_budget_bytes=experiment.visual_cache_budget_bytes,
+        evaluate_fidelity=evaluate_fidelity)
+
+
+def serve_rounds(service: WalkthroughService,
+                 max_active: Optional[int] = None) -> Dict[str, object]:
+    """Serve every live session of ``service`` to the end of its path.
+
+    Each *round* admits waiting sessions into free slots (at most
+    ``max_active`` run at once; the rest wait FIFO, in session-id
+    order), then:
+
+    * **phase 1** steps every active session one frame, in ascending
+      session id, so the shared clock, the shared pool and the fault
+      injector's RNG are consumed in one deterministic order;
+    * **phase 2** issues the round's speculative prefetch batch.
+
+    Returns the report's ``outcome`` section.  A fault the degradation
+    ladder cannot absorb ends the run and is reported there instead of
+    raised; a round it aborts adds nothing to ``frames_served``.
+    """
+    registry = get_registry()
+    m_rounds = registry.counter(names.SERVING_ROUNDS)
+    m_waits = registry.counter(names.SERVING_ADMISSION_WAITS)
+    m_active = registry.gauge(names.SERVING_ACTIVE_SESSIONS)
+    waiting: Deque[int] = deque(sorted(service.sessions))
+    active: List[int] = []
+    rounds = frames_served = 0
+    error: Optional[str] = None
+    try:
+        while waiting or active:
+            while waiting and (max_active is None
+                               or len(active) < max_active):
+                active.append(waiting.popleft())
+            for session_id in waiting:
+                service.sessions[session_id].admission_wait_rounds += 1
+                m_waits.inc()
+            m_active.set(len(active))
+            rounds += 1
+            m_rounds.inc()
+            for session_id in active:
+                service.step_session(session_id)
+            frames_served += len(active)
+            if service.prefetcher is not None:
+                service.prefetcher.issue_round()
+            active = [session_id for session_id in active
+                      if not service.sessions[session_id].done]
+    except ReproError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    finally:
+        # The loop exits (or aborts) with no session being served;
+        # without this, post-run scrapes and the `repro serve` report
+        # would show the last round's count as still active.
+        m_active.set(0)
+    return {"completed": error is None, "error": error,
+            "rounds": rounds, "frames_served": frames_served}
 
 
 def run_serve(*, sessions: int = 8, seed: int = 7,
@@ -82,9 +339,8 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
               max_active: Optional[int] = None,
               frame_budget_ms: Optional[float] = None,
               pool_pages: int = 256,
-              policy: Optional[str] = None,
-              prefetch: Optional[bool] = None,
-              prefetch_max_vpages: int = 8,
+              policy: str = "lru",
+              prefetch: bool = False,
               plan: Optional[str] = None,
               fault_seed: int = 0,
               include_frame_times: bool = True) -> Dict[str, object]:
@@ -96,28 +352,16 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
         Number of concurrent walkthrough sessions.
     seed:
         Draws each session's motion pattern; same seed, same report.
-    scale / eta / frames / scheme:
-        As in ``repro run`` / ``repro chaos``.
+    scale / eta / frames / scheme / pool_pages / policy:
+        As in :func:`build_service`.
     max_active:
         Admission-control slot count (default: no limit).
     frame_budget_ms:
         Simulated per-frame deadline; a session whose previous frame
         exceeded it degrades its next query to the root internal LoD.
-    pool_pages:
-        Shared buffer-pool capacity in pages; 0 serves unpooled (every
-        session reads straight through ``pageio``, the sequential
-        path's exact I/O behaviour).
-    policy:
-        Pool replacement policy (``"lru"``/``"2q"``); ``None`` takes
-        the scale config's ``serving_policy`` (default ``"lru"``, the
-        historical behavior, byte for byte).
     prefetch:
-        Enable the cross-session predictive pool prefetcher; ``None``
-        takes the scale config's ``serving_prefetch`` (default off).
-        Requires a pool.
-    prefetch_max_vpages:
-        V-pages chased per predicted cell per round (see
-        ``repro.serving.prefetch``).
+        Enable the cross-session predictive pool prefetcher.  Requires
+        a pool.
     plan / fault_seed:
         Optional named fault plan installed beneath the storage layer,
         to prove the service degrades instead of deadlocking.
@@ -125,79 +369,40 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
         Emit the full per-session ``frame_ms`` series (the CI diff
         wants maximum surface; benchmarks may turn it off).
     """
-    # Imported here: repro.experiments pulls in every experiment driver,
-    # which the library layers must not depend on at import time.
-    from repro.experiments.config import build_scale_environment, get_scale
-
     if sessions < 1:
         raise WalkthroughError(f"sessions must be >= 1, got {sessions}")
-    if pool_pages < 0:
-        raise WalkthroughError(
-            f"pool_pages must be >= 0, got {pool_pages}")
+    _check_limits(max_active, frame_budget_ms)
+    if prefetch and pool_pages == 0:
+        raise WalkthroughError("prefetch needs a pool (pool_pages > 0)")
     fault_plan = named_plan(plan) if plan is not None else None
-    experiment = get_scale(scale)
-    effective_policy = (policy if policy is not None
-                        else experiment.serving_policy)
-    effective_prefetch = (prefetch if prefetch is not None
-                          else experiment.serving_prefetch)
-    if pool_pages == 0:
-        if policy is not None and policy != "lru":
-            raise WalkthroughError(
-                "replacement policy needs a pool (pool_pages > 0)")
-        if effective_prefetch:
-            raise WalkthroughError(
-                "prefetch needs a pool (pool_pages > 0)")
     registry = MetricsRegistry()
     with use_registry(registry):
-        env = build_scale_environment(experiment)
-        num_frames = (frames if frames is not None
-                      else experiment.session_frames)
-        pool = (BufferPool(pool_pages, name="serving",
-                           policy=effective_policy)
-                if pool_pages > 0 else None)
-        prefetcher = (ServingPrefetcher(pool, env,
-                                        max_vpages=prefetch_max_vpages)
-                      if effective_prefetch and pool is not None else None)
+        service = build_service(
+            scale=scale, eta=eta, frames=frames, scheme=scheme,
+            pool_pages=pool_pages, policy=policy,
+            frame_budget_ms=frame_budget_ms, evaluate_fidelity=True)
+        env, pool = service.env, service.pool
+        prefetcher = (ServingPrefetcher(pool, env)
+                      if prefetch and pool is not None else None)
+        service.prefetcher = prefetcher
 
         # Motion patterns are drawn from the seed so a fleet of
         # sessions exercises all three of the paper's patterns.
         rng = np.random.default_rng(seed)
-        m_sessions = registry.counter(names.SERVING_SESSIONS)
-        served: List[ServingSession] = []
-        for session_id in range(sessions):
-            pattern = int(rng.integers(1, 4))
-            path = make_session(pattern, env.scene.bounds(),
-                                num_frames=num_frames,
-                                street_pitch=experiment.city.pitch)
-            view = session_env(env, pool)
-            served.append(ServingSession(
-                session_id, path, view, eta=eta, scheme=scheme,
-                pool=pool, prefetcher=prefetcher,
-                cache_budget_bytes=experiment.visual_cache_budget_bytes))
-            m_sessions.inc()
-
-        # Build I/O stays out of the serving ledger.
-        env.reset_stats()
+        for _ in range(sessions):
+            service.create_session(int(rng.integers(1, 4)))
+        served = list(service.sessions.values())
 
         injector: Optional[FaultInjector] = None
         if fault_plan is not None:
             injector = FaultInjector(fault_plan, seed=fault_seed)
             injector.install(*env.files())
-        scheduler = SessionScheduler(served, max_active=max_active,
-                                     frame_budget_ms=frame_budget_ms,
-                                     prefetcher=prefetcher)
-        error: Optional[str] = None
         try:
-            scheduler.run()
-        except ReproError as exc:
-            # Only a fault the degradation ladder cannot absorb lands
-            # here; the report says so instead of crashing.
-            error = f"{type(exc).__name__}: {exc}"
+            outcome = serve_rounds(service, max_active)
         finally:
             if injector is not None:
                 injector.uninstall()
 
-        completed = error is None
         report: Dict[str, object] = {
             "serve": {
                 "scale": scale,
@@ -205,8 +410,9 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
                 "seed": seed,
                 "eta": eta,
                 "scheme": served[0].delta.search.scheme.name,
-                "frames": num_frames,
-                "max_active": scheduler.max_active,
+                "frames": service.frames,
+                "max_active": (max_active if max_active is not None
+                               else sessions),
                 "frame_budget_ms": frame_budget_ms,
                 "pool_pages": pool_pages,
                 "policy": (pool.policy.name if pool is not None else None),
@@ -214,12 +420,7 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
                 "plan": fault_plan.name if fault_plan is not None else None,
                 "fault_seed": fault_seed if fault_plan is not None else None,
             },
-            "outcome": {
-                "completed": completed,
-                "error": error,
-                "rounds": scheduler.rounds,
-                "frames_served": scheduler.frames_served,
-            },
+            "outcome": outcome,
             "sessions": [session_report(s, include_frame_times)
                          for s in served],
             "pool": _pool_report(pool),
@@ -267,6 +468,17 @@ def session_report(session: ServingSession,
     return entry
 
 
+def pool_summary(pool: BufferPool) -> Dict[str, object]:
+    """The pool counters ``/stats`` and the traffic report carry."""
+    return {
+        "capacity": pool.capacity,
+        "hits": pool.hits,
+        "misses": pool.misses,
+        "evictions": pool.evictions,
+        "hit_rate": pool.hit_rate,
+    }
+
+
 def _pool_report(pool: Optional[BufferPool]) -> Optional[Dict[str, object]]:
     if pool is None:
         return None
@@ -292,10 +504,10 @@ def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
     Every integer :class:`IOStats` field balances exactly (sessions are
     stepped one at a time, so the snapshot/delta windows partition the
     shared counters); simulated ms balance within float-rounding
-    tolerance.  With prefetch on, the speculative batches' charges live
-    in the prefetcher's own ledger — never a session's — and are added
-    back here, so the balance stays exact instead of leaking the
-    speculation into session attribution.
+    tolerance (:meth:`IOStats.mismatches`).  With prefetch on, the
+    speculative batches' charges live in the prefetcher's own ledger —
+    never a session's — and are added back here, so the balance stays
+    exact instead of leaking the speculation into session attribution.
     """
     sum_light = IOStats()
     sum_heavy = IOStats()
@@ -305,18 +517,16 @@ def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
     if prefetcher is not None:
         sum_light += prefetcher.light_total
         sum_heavy += prefetcher.heavy_total
-    ms_ok = (_ms_close(env.light_stats.simulated_ms,
-                       sum_light.simulated_ms)
-             and _ms_close(env.heavy_stats.simulated_ms,
-                           sum_heavy.simulated_ms))
+    light_off = sum_light.mismatches(env.light_stats)
+    heavy_off = sum_heavy.mismatches(env.heavy_stats)
     result: Dict[str, object] = {
         "light_sessions": sum_light.as_dict(),
         "light_environment": env.light_stats.as_dict(),
         "heavy_sessions": sum_heavy.as_dict(),
         "heavy_environment": env.heavy_stats.as_dict(),
-        "light_ios_balanced": _ios_equal(sum_light, env.light_stats),
-        "heavy_ios_balanced": _ios_equal(sum_heavy, env.heavy_stats),
-        "simulated_ms_balanced": ms_ok,
+        "light_ios_balanced": set(light_off) <= {"simulated_ms"},
+        "heavy_ios_balanced": set(heavy_off) <= {"simulated_ms"},
+        "simulated_ms_balanced": "simulated_ms" not in light_off + heavy_off,
     }
     if prefetcher is not None:
         result["prefetch_light"] = prefetcher.light_total.as_dict()

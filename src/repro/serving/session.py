@@ -3,15 +3,15 @@
 :class:`ServingSession` drives the VISUAL frame body
 (:class:`~repro.walkthrough.visual.FrameStepper`: query on a cell
 crossing, delta fetch, frame-time model, inline fidelity scoring) one
-frame per ``step()``.  The scheduler steps sessions one at a time, in
-ascending session id; all I/O, all shared-clock charges and all
-shared-pool traffic of a frame happen inside its ``step()``, which is
-what makes the per-session attribution exact and the whole service
-bit-deterministic.  What serving adds to the frame body is that
+frame per ``step()``.  The service steps sessions one at a time (the
+round loop in ascending session id); all I/O, all shared-clock charges
+and all shared-pool traffic of a frame happen inside its ``step()``,
+which is what makes the per-session attribution exact and the whole
+service bit-deterministic.  What serving adds to the frame body is that
 attribution: the pool hit/miss window, the per-session I/O ledgers,
 the query and shed counts, and the prefetcher's observation.
 
-Overload shedding: when the scheduler flags that the session's previous
+Overload shedding: when the service flags that the session's previous
 frame blew the frame budget, a frame that would query instead answers
 from the root's internal LoD (the degradation ladder, invoked
 proactively) — cheap, complete, coarse — and the next frame re-queries
@@ -37,12 +37,12 @@ if TYPE_CHECKING:
 
 
 class ServingSession:
-    """A recorded path replayed one frame per scheduler round.
+    """A recorded path replayed one frame per step.
 
     Parameters
     ----------
     session_id:
-        Stable id; the scheduler steps sessions in ascending id order.
+        Stable id; the round loop steps sessions in ascending id order.
     path:
         The recorded waypoint sequence.
     env:

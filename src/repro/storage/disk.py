@@ -27,7 +27,11 @@ are new information, not a re-pricing.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
+
+#: Relative tolerance on ``simulated_ms`` when two ledgers reconcile
+#: (:meth:`IOStats.mismatches`); integer counters must match exactly.
+MS_RTOL = 1e-9
 
 
 @dataclass
@@ -100,6 +104,25 @@ class IOStats:
             "simulated_ms": self.simulated_ms,
         }
 
+    def mismatches(self, other: "IOStats") -> Tuple[str, ...]:
+        """The fields on which two ledgers disagree, in declaration order.
+
+        This is the one reconciliation check: every integer counter must
+        match exactly, ``simulated_ms`` within :data:`MS_RTOL` relative.
+        Ledgers kept by different paths sum the same float charges in a
+        different order, so their milliseconds can differ by rounding.
+        """
+        out: List[str] = []
+        for name in _IOSTATS_FIELDS:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if name == "simulated_ms":
+                scale = max(abs(mine), abs(theirs), 1.0)
+                if abs(mine - theirs) > MS_RTOL * scale:
+                    out.append(name)
+            elif mine != theirs:
+                out.append(name)
+        return tuple(out)
+
     def reset(self) -> None:
         self.reads = 0
         self.writes = 0
@@ -118,7 +141,8 @@ class IOStats:
                 f"ms={self.simulated_ms:.3f})")
 
 
-#: Every counter :meth:`IOStats.__iadd__` sums, in declaration order.
+#: Every counter :meth:`IOStats.__iadd__` sums and
+#: :meth:`IOStats.mismatches` compares, in declaration order.
 _IOSTATS_FIELDS = tuple(f.name for f in fields(IOStats))
 
 

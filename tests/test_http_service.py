@@ -2,8 +2,8 @@
 
 Covers the session lifecycle over the async app, the error-to-status
 ladder, the timing middleware's accounting, parity between the HTTP
-path and the in-process ``SessionScheduler`` on the deterministic
-report subset, health degradation under an injected fault plan, and
+path and ``repro serve``'s round loop on the deterministic report
+subset, health degradation under an injected fault plan, and
 the real-socket server.
 """
 
@@ -127,16 +127,16 @@ def test_stats_and_metrics_endpoints(app):
                for key in metrics.body["metrics"])
 
 
-# -- parity with the in-process scheduler -----------------------------------
+# -- parity with the round loop ----------------------------------------------
 
 
 def test_http_path_matches_scheduler_report():
     """Concurrent create/step over the shared pool must reproduce the
-    ``SessionScheduler`` per-session reports field-for-field.
+    round loop's per-session reports field-for-field.
 
     The reference run serves N sessions through ``run_serve``; the HTTP
     side creates the same sessions (same seed-drawn patterns) and steps
-    them in scheduler order — each round fanned out as concurrent
+    them in round-loop order — each round fanned out as concurrent
     dispatches, serialized only by the app's lock.  Everything in the
     deterministic per-session report must coincide.
     """
@@ -162,7 +162,7 @@ def test_http_path_matches_scheduler_report():
                 ids.append(response.body["id"])
             live = list(ids)
             while live:
-                # One scheduler round: every live session steps, the
+                # One round: every live session steps, the
                 # dispatches issued concurrently (the app's lock is
                 # FIFO, so ascending-id order is preserved).
                 responses = await asyncio.gather(*[

@@ -9,6 +9,7 @@ service instead of deadlocking it.
 """
 
 import json
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,9 +20,10 @@ from repro.core.hdov_tree import build_environment
 from repro.errors import WalkthroughError
 from repro.experiments.config import get_scale
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.profile import reconcile as profile_reconcile
 from repro.scene.city import generate_city
 from repro.serving import run_serve
-from repro.serving.service import _reconcile
+from repro.serving.service import WalkthroughService, _reconcile, serve_rounds
 from repro.storage.disk import IOStats
 from repro.visibility.cells import CellGrid
 from repro.walkthrough.session import make_session
@@ -72,6 +74,33 @@ def test_reconcile_checks_every_integer_field():
     assert shifted["light_ios_balanced"] is False
     assert shifted["heavy_ios_balanced"] is False
     assert shifted["simulated_ms_balanced"] is True
+
+
+@pytest.mark.parametrize("field, bump, ok", [
+    *[(f.name, 1, False) for f in fields(IOStats)],
+    # Rounding-sized drift: ledgers summed in another order.
+    ("simulated_ms", 33.0 * 1e-12, True),
+], ids=lambda v: str(v))
+def test_reconciliation_checks_each_iostats_field(field, bump, ok):
+    """``repro serve`` and ``repro profile`` share one ledger check:
+    any one-field mismatch fails it, an ms drift inside the relative
+    tolerance passes."""
+    total = _ledger()
+    parts = _ledger()
+    setattr(parts, field, getattr(parts, field) + bump)
+    assert (parts.mismatches(total) == ()) is ok
+
+    session = SimpleNamespace(light_total=parts, heavy_total=_ledger(),
+                              pool_hits=0, pool_misses=0)
+    env = SimpleNamespace(light_stats=total, heavy_stats=_ledger())
+    served = _reconcile(env, [session], pool=None)
+    assert (served["light_ios_balanced"]
+            and served["simulated_ms_balanced"]) is ok
+
+    pfile = SimpleNamespace(name="light.dat", stats=total)
+    profiled = profile_reconcile({"light.dat": parts.as_dict()}, [pfile],
+                                 {"light": total})
+    assert profiled["ok"] is ok
 
 
 def test_serve_report_shape(serve_report):
@@ -196,13 +225,15 @@ def test_serve_cli_usage_error(capsys):
 
 
 class _StubSession:
-    """The minimal surface SessionScheduler drives, without an env."""
+    """The minimal surface the round loop and ``step_session`` drive,
+    without an env."""
 
     def __init__(self, session_id, frames):
         self.session_id = session_id
         self._remaining = frames
         self.admission_wait_rounds = 0
         self.last_frame_ms = 0.0
+        self.frames = []
 
     @property
     def done(self):
@@ -210,34 +241,43 @@ class _StubSession:
 
     def step(self, *, shed_load=False):
         self._remaining -= 1
+        self.frames.append(SimpleNamespace(
+            frame_index=len(self.frames), cell_id=0, frame_ms=0.0,
+            io_ms=0.0, polygons=0, degraded=0))
+
+
+def _stub_service(sessions):
+    service = WalkthroughService(env=None)
+    service.sessions = {s.session_id: s for s in sessions}
+    return service
 
 
 def test_scheduler_zeroes_active_gauge_after_run():
-    """Regression: ``SessionScheduler.run`` left the active-sessions
-    gauge at the last round's count, so post-run scrapes showed phantom
-    active sessions."""
+    """Regression: the round loop left the active-sessions gauge at the
+    last round's count, so post-run scrapes showed phantom active
+    sessions."""
     from repro.obs import names
-    from repro.serving import SessionScheduler
 
     with use_registry(MetricsRegistry()) as registry:
         sessions = [_StubSession(i, frames=2 + i) for i in range(3)]
-        scheduler = SessionScheduler(sessions)
-        scheduler.run()
-        assert scheduler.frames_served == sum(2 + i for i in range(3))
+        outcome = serve_rounds(_stub_service(sessions))
+        assert outcome["completed"] is True
+        assert outcome["frames_served"] == sum(2 + i for i in range(3))
         assert registry.value(names.SERVING_ACTIVE_SESSIONS) == 0.0
 
 
 def test_scheduler_zeroes_active_gauge_on_error():
     from repro.errors import ReproError
     from repro.obs import names
-    from repro.serving import SessionScheduler
 
     class _ExplodingSession(_StubSession):
         def step(self, *, shed_load=False):
             raise ReproError("boom")
 
     with use_registry(MetricsRegistry()) as registry:
-        scheduler = SessionScheduler([_ExplodingSession(0, frames=1)])
-        with pytest.raises(ReproError):
-            scheduler.run()
+        outcome = serve_rounds(
+            _stub_service([_ExplodingSession(0, frames=1)]))
+        assert outcome["completed"] is False
+        assert outcome["error"] == "ReproError: boom"
+        assert outcome["frames_served"] == 0
         assert registry.value(names.SERVING_ACTIVE_SESSIONS) == 0.0
